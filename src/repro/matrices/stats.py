@@ -16,6 +16,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
+    # int64 reference, not exact_matmul: the oracle must not share the path it checks.
     return a.astype(np.int64) @ b.astype(np.int64)
 
 

@@ -704,6 +704,9 @@ def local_cluster(
             env["PYTHONPATH"] = os.pathsep.join(
                 [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
             )
+            # A cluster's parallelism is its process count: one BLAS thread
+            # per site/aggregator process unless the caller chose otherwise.
+            env.setdefault("OPENBLAS_NUM_THREADS", "1")
             python = [sys.executable, "-m", "repro.service.cli"]
             port_files: dict[str, Path] = {}
             if spec is not None:

@@ -1,7 +1,7 @@
 """Shared vectorized kernels behind every sketch family's hot path.
 
-Four building blocks, used by CountSketch/Count-Min, AMS, the ``l_0``
-sketch and the ``l_0`` sampler:
+Five building blocks, used by CountSketch/Count-Min, AMS, the ``l_0``
+sketch and the ``l_0`` sampler, and by the engine's coordinator finish:
 
 **Lazy stacked hashing** (:class:`StackedKWiseHash`).  Instead of
 precomputing dense ``O(universe x depth)`` bucket/sign tables at
@@ -45,6 +45,21 @@ one vectorized pass (expected blow-up factor 2: level depths are
 geometric), feeding the same fused bincount — replacing both the dense
 ``O(universe x levels x buckets)`` matrix *and* the per-level scatter
 loops of the pre-kernel ``l_0`` machinery.
+
+**Exact integer products** (:func:`exact_matmul`).  NumPy runs int64
+matmul without BLAS, and every family's coordinator finish multiplies what
+the sites shipped (sketch states, sampled rows, item blocks) by ``B``.
+For integer operands the kernel runs float64 BLAS instead, when a bound
+proves it exact: each output entry ``sum_k a_ik b_kj``, and every partial
+sum of it in whatever order or blocking BLAS picks (FMA included), has
+magnitude at most ``row_L1(a_i) * max|b|``.  While that is below ``2^53``
+every product and partial sum is an integer float64 represents exactly,
+so no operation rounds and the cast back to int64 is the int64 result.
+The kernel first tries the cheap ``inner * max|a| * max|b| < 2^53`` and
+then the tighter ``max_row_L1(a) * max|b| < 2^53``; any other integer
+input, and any product too small to repay the check, takes the int64
+``@``, so wraparound stays bit-identical.  (No limb split: on the measured
+workloads the largest bound was ``2^31.9``.)
 """
 
 from __future__ import annotations
@@ -65,6 +80,7 @@ __all__ = [
     "StackedKWiseHash",
     "bincount_rows",
     "count_alive_levels",
+    "exact_matmul",
     "expand_levels",
     "scatter_add_scalar",
     "scatter_add_vector",
@@ -72,6 +88,13 @@ __all__ = [
 
 #: Usable sign bits per hash value (the field is 61 bits wide).
 _BITS_PER_HASH = 61
+#: Every integer of magnitude up to ``2^53`` is exact in float64.
+_FLOAT_EXACT = 1 << 53
+#: One past the largest int64.
+_INT64_LIMIT = 1 << 63
+#: Multiply-adds below which the int64 ``@`` beats the bound check and the
+#: float64 casts (about 16 us of fixed cost against ~1 ns per int64 term).
+_BLAS_MIN_WORK = 1 << 14
 
 
 class StackedKWiseHash:
@@ -264,11 +287,12 @@ def bincount_rows(
     ``weights`` is 1-D (vector input: returns shape ``(num_rows,)``) or 2-D
     ``(len(rows), m)`` (matrix input: returns ``(num_rows, m)``).  With
     ``exact_int`` the accumulation runs in an int64 array via the fused
-    indexed-add — exact to ``2^63`` like the dense integer matmul it
-    replaced (a float64 ``bincount`` would silently round weights past
-    ``2^53``, and the layered sketches' internal weights reach
-    ``coefficient x value``, far beyond the raw delta bound).  Float
-    weights accumulate through ``np.bincount``, one call per value column.
+    indexed-add — exact while every output sum stays inside int64, and
+    wrapping modulo ``2^64`` like any int64 sum past it (a float64
+    ``bincount`` would silently round weights past ``2^53``, and the
+    layered sketches' internal weights reach ``coefficient x value``, far
+    beyond the raw delta bound).  Float weights accumulate through
+    ``np.bincount``, one call per value column.
     """
     backend = _native.active()
     if exact_int:
@@ -300,6 +324,43 @@ def bincount_rows(
     for col in range(m):
         out[:, col] = np.bincount(rows, weights=weights[:, col], minlength=num_rows)
     return out
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with integer operands on float64 BLAS whenever that is exact.
+
+    Integer and bool operands give exactly ``a.astype(int64) @
+    b.astype(int64)``, int64 wraparound included; any other operand pair
+    returns plain ``a @ b``.  Products under ``_BLAS_MIN_WORK``
+    multiply-adds stay on int64, where they are cheaper.  See the module
+    docstring for the bound that selects the float64 path.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype.kind not in "biu" or b.dtype.kind not in "biu":
+        return a @ b
+    a = a.astype(np.int64, copy=False)
+    b = b.astype(np.int64, copy=False)
+    work = a.size * (b.shape[-1] if b.ndim > 1 else 1)
+    if work >= _BLAS_MIN_WORK and _float64_exact(a, b):
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
+
+
+def _float64_exact(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the int64 product ``a @ b`` is exact in float64 arithmetic."""
+    if a.size == 0 or b.size == 0:
+        return False
+    max_a = max(-int(a.min()), int(a.max()))
+    max_b = max(-int(b.min()), int(b.max()))
+    inner = a.shape[-1]
+    if inner * max_a * max_b < _FLOAT_EXACT:
+        return True
+    # The row-L1 sums are int64-exact only while inner * max|a| < 2^63.
+    return (
+        inner * max_a < _INT64_LIMIT
+        and int(np.abs(a).sum(axis=-1).max()) * max_b < _FLOAT_EXACT
+    )
 
 
 def count_alive_levels(priorities: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

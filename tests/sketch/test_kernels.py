@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.sketch import AmsSketch, L0Sampler
+from repro.sketch import kernels
 from repro.sketch.hashing import KWiseHash, PRIME_61
 from repro.sketch.kernels import (
     BitSignHash,
     StackedKWiseHash,
     bincount_rows,
     count_alive_levels,
+    exact_matmul,
     expand_levels,
     scatter_add_scalar,
     scatter_add_vector,
@@ -342,3 +347,111 @@ class TestHugeUniverseGuards:
         table = sketch.bucket_of
         assert table.shape == (3, 32)
         assert table.min() >= 0 and table.max() < 8
+
+
+def _int64_reference(a, b):
+    return np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64)
+
+
+_INT_DTYPES = st.sampled_from([np.int8, np.int32, np.uint8, np.bool_, np.int64])
+
+
+@st.composite
+def integer_operands(draw):
+    """An ``(r, inner) @ (inner, c)`` pair, every extent possibly zero."""
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(hnp.arrays(draw(_INT_DTYPES), (rows, inner)))
+    b = draw(hnp.arrays(draw(_INT_DTYPES), (inner, cols)))
+    return a, b
+
+
+@st.composite
+def scaled_int64_operands(draw):
+    """int64 pairs whose magnitudes straddle ``2^53`` and int64 overflow."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def block(shape):
+        bound = 2 ** draw(st.integers(0, 63)) - 1
+        return draw(
+            hnp.arrays(np.int64, shape, elements=st.integers(-bound, bound))
+        )
+
+    return block((rows, inner)), block((inner, cols))
+
+
+class TestExactMatmul:
+    """Integer products on float64 BLAS equal the int64 reference bit for bit.
+
+    The size cut-off is lifted so that every product whose bound allows it
+    takes the float64 path, however small.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _float64_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLAS_MIN_WORK", 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_operands())
+    def test_small_dtypes_negatives_and_empty_shapes(self, operands):
+        a, b = operands
+        out = exact_matmul(a, b)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _int64_reference(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_int64_operands())
+    def test_magnitudes_past_float53_and_int64_wraparound(self, operands):
+        a, b = operands
+        assert np.array_equal(exact_matmul(a, b), _int64_reference(a, b))
+
+    @pytest.mark.parametrize(
+        "row, on_float64",
+        [
+            ([2**52, 2**52 - 1], True),  # row-L1 bound 2^53 - 1
+            ([2**52, 2**52], False),  # row-L1 bound exactly 2^53
+            ([2**53 - 1, 2], False),  # 2^53 + 1 would round in float64
+            ([-(2**53), -1], False),
+        ],
+    )
+    def test_row_l1_bound_edge(self, row, on_float64):
+        a = np.array([row, [1, -1]], dtype=np.int64)
+        b = np.array([[1, -1], [1, 1]], dtype=np.int64)
+        assert kernels._float64_exact(a, b) is on_float64
+        assert np.array_equal(exact_matmul(a, b), _int64_reference(a, b))
+
+    def test_typical_sketch_products_take_float64(self):
+        """0/1 ``B`` against coefficient-weighted states: the hot case."""
+        rng = np.random.default_rng(7)
+        state = rng.integers(-(2**30), 2**30, size=(40, 512))
+        b = (rng.uniform(size=(512, 64)) < 0.05).astype(np.int64)
+        assert kernels._float64_exact(state, b)
+        assert np.array_equal(exact_matmul(state, b), state @ b)
+
+    def test_overflowing_product_wraps_like_int64(self):
+        a = np.array([[2**62, 2**62, 3]], dtype=np.int64)
+        b = np.array([[1], [1], [2**61]], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            expected = _int64_reference(a, b)
+        assert expected[0, 0] < 0  # the reference itself wrapped
+        assert np.array_equal(exact_matmul(a, b), expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from([np.float64, np.float32]),
+        st.sampled_from([np.float64, np.int64]),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.data(),
+    )
+    def test_float_inputs_pass_through(self, a_dtype, b_dtype, inner, cols, data):
+        a = data.draw(
+            hnp.arrays(a_dtype, (3, inner), elements=st.floats(-1e6, 1e6, width=32))
+        )
+        b = data.draw(
+            hnp.arrays(b_dtype, (inner, cols), elements=st.integers(-1000, 1000))
+        )
+        for left, right in ((a, b), (b.T, a.T)):
+            expected = left @ right
+            out = exact_matmul(left, right)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
