@@ -65,6 +65,9 @@ class Network:
         latency, infinite bandwidth — makespan 0).
     """
 
+    #: Topology name used in endpoint-check errors.
+    _topology = "star"
+
     def __init__(
         self,
         site_names: Sequence[str],
@@ -81,6 +84,7 @@ class Network:
             raise ValueError("the coordinator cannot double as a site")
         self.coordinator_name = coordinator_name
         self.site_names = site_names
+        self._site_set = set(site_names)
         self.conditions = conditions if conditions is not None else NetworkConditions()
         self._validate_conditions()
         self.links: dict[str, MessageLog] = {name: MessageLog() for name in site_names}
@@ -127,22 +131,34 @@ class Network:
         :func:`repro.comm.bitcost.bits_for_payload` like the two-party
         channel.
         """
+        direction, site, bits = self._route(sender, receiver, payload, bits, universe)
+        self.log.record(sender, receiver, payload, label=label, bits=bits, direction_key=direction)
+        self.links[site].record(sender, receiver, payload, label=label, bits=bits)
+        return payload
+
+    def _route(
+        self,
+        sender: str,
+        receiver: str,
+        payload: Any,
+        bits: int | None,
+        universe: int | None,
+    ) -> tuple[str, str, int]:
+        """Check one coordinator-addressed message: ``(direction, site, bits)``."""
         if sender == receiver:
             raise ValueError("sender and receiver must differ")
         if self.coordinator_name not in (sender, receiver):
             raise ValueError(
-                f"star topology: one endpoint must be {self.coordinator_name!r} "
-                f"(got {sender!r} -> {receiver!r})"
+                f"{self._topology} topology: one endpoint must be "
+                f"{self.coordinator_name!r} (got {sender!r} -> {receiver!r})"
             )
         direction = DOWNSTREAM if sender == self.coordinator_name else UPSTREAM
         site = receiver if direction == DOWNSTREAM else sender
-        if site not in self.links:
+        if site not in self._site_set:
             raise ValueError(f"unknown site {site!r}; expected one of {self.site_names}")
         if bits is None:
             bits = bitcost.bits_for_payload(payload, universe=universe)
-        self.log.record(sender, receiver, payload, label=label, bits=bits, direction_key=direction)
-        self.links[site].record(sender, receiver, payload, label=label, bits=bits)
-        return payload
+        return direction, site, bits
 
     def broadcast(
         self,
@@ -170,39 +186,54 @@ class Network:
         return payload
 
     # ------------------------------------------------------------ accounting
+    def _drain(self) -> None:
+        """Flush traffic staged inside the network before a meter is read.
+
+        A no-op on the star, where every message lands on its link at once;
+        :class:`TreeNetwork` stages uploads at its aggregators.
+        """
+
     @property
     def total_bits(self) -> int:
         """Total bits over all links."""
+        self._drain()
         return self.log.total_bits
 
     @property
     def rounds(self) -> int:
         """Aggregate rounds (up/down direction flips)."""
+        self._drain()
         return self.log.rounds
 
     def bits_sent_by(self, sender: str) -> int:
         """Total bits sent by one endpoint (a site or the coordinator)."""
+        self._drain()
         return self.log.bits_sent_by(sender)
 
     def bits_by_label(self) -> dict[str, int]:
         """Total bits grouped by message label, over all links."""
+        self._drain()
         return self.log.bits_by_label()
 
     def bits_per_round(self) -> dict[int, int]:
         """Total bits grouped by aggregate round index."""
+        self._drain()
         return self.log.bits_per_round()
 
     def link(self, site_name: str) -> MessageLog:
         """The per-link meter for one coordinator-site link."""
+        self._drain()
         return self.links[site_name]
 
     def link_bits(self) -> dict[str, int]:
         """Per-site link load: total bits on each coordinator-site link."""
+        self._drain()
         return {name: meter.total_bits for name, meter in self.links.items()}
 
     @property
     def max_link_bits(self) -> int:
         """Load of the busiest coordinator-site link."""
+        self._drain()
         return max(meter.total_bits for meter in self.links.values())
 
     # ------------------------------------------------------------- simulation
@@ -319,6 +350,8 @@ class TreeNetwork(Network):
     way, which is what the scaling benchmark charts.
     """
 
+    _topology = "tree"
+
     def __init__(
         self,
         tree: TreeSpec,
@@ -328,7 +361,6 @@ class TreeNetwork(Network):
     ) -> None:
         self.tree = tree
         super().__init__(tree.site_names, tree.root, conditions=conditions)
-        self._site_set = set(tree.site_names)
         for agg in tree.aggregators:
             self.links[agg] = MessageLog()
         self._staged: dict[str, list[tuple[str, Any, int]]] = {
@@ -365,19 +397,7 @@ class TreeNetwork(Network):
         universe: int | None = None,
     ) -> Any:
         """Route one coordinator-addressed message along its tree path."""
-        if sender == receiver:
-            raise ValueError("sender and receiver must differ")
-        if self.coordinator_name not in (sender, receiver):
-            raise ValueError(
-                f"tree topology: one endpoint must be {self.coordinator_name!r} "
-                f"(got {sender!r} -> {receiver!r})"
-            )
-        direction = DOWNSTREAM if sender == self.coordinator_name else UPSTREAM
-        site = receiver if direction == DOWNSTREAM else sender
-        if site not in self._site_set:
-            raise ValueError(f"unknown site {site!r}; expected one of {self.site_names}")
-        if bits is None:
-            bits = bitcost.bits_for_payload(payload, universe=universe)
+        direction, site, bits = self._route(sender, receiver, payload, bits, universe)
         if direction == UPSTREAM:
             self._record_hop(site, UPSTREAM, payload, label, bits)
             parent = self.tree.parent[site]
@@ -516,41 +536,6 @@ class TreeNetwork(Network):
         self.merge_seconds += time.perf_counter() - started
 
     # ------------------------------------------------------------ accounting
-    @property
-    def total_bits(self) -> int:
-        self._drain()
-        return self.log.total_bits
-
-    @property
-    def rounds(self) -> int:
-        self._drain()
-        return self.log.rounds
-
-    def bits_sent_by(self, sender: str) -> int:
-        self._drain()
-        return self.log.bits_sent_by(sender)
-
-    def bits_by_label(self) -> dict[str, int]:
-        self._drain()
-        return self.log.bits_by_label()
-
-    def bits_per_round(self) -> dict[int, int]:
-        self._drain()
-        return self.log.bits_per_round()
-
-    def link(self, site_name: str) -> MessageLog:
-        self._drain()
-        return self.links[site_name]
-
-    def link_bits(self) -> dict[str, int]:
-        self._drain()
-        return {name: meter.total_bits for name, meter in self.links.items()}
-
-    @property
-    def max_link_bits(self) -> int:
-        self._drain()
-        return max(meter.total_bits for meter in self.links.values())
-
     def root_link_bits(self) -> dict[str, int]:
         """Bits on the root's ingress edges only — the fan-in bottleneck."""
         self._drain()

@@ -15,10 +15,11 @@ package keeps the cluster-facing surface:
 * :class:`repro.multiparty.estimator.ClusterEstimator` — the facade,
   sharing its query dispatch with
   :class:`repro.core.api.MatrixProductEstimator`.
-* ``Network`` (now in :mod:`repro.comm.network`), ``Site`` / ``Coordinator``
-  (now in :mod:`repro.engine.topology`) — re-exported here for
-  compatibility, together with the historical ``Multiparty*`` protocol
-  names.  ``repro.multiparty.protocols`` itself is deprecated.
+* ``Network`` (from :mod:`repro.comm.network`), ``Site`` / ``Coordinator``
+  (from :mod:`repro.engine.topology`) and the historical ``Multiparty*``
+  names of the engine protocol classes, re-exported here.  The old
+  ``repro.multiparty.protocols`` and ``repro.multiparty.site`` modules are
+  gone; import from this package or from :mod:`repro.engine`.
 """
 
 from repro.comm.network import Network
@@ -32,7 +33,7 @@ from repro.engine.lp_norm import StarLpNormProtocol, star_lp_pp_estimate
 from repro.engine.topology import Coordinator, Site
 from repro.multiparty.estimator import ClusterEstimator
 
-#: Historical names for the engine protocol classes (see ``protocols.py``).
+#: Historical names for the engine protocol classes.
 CoordinatorProtocol = StarProtocol
 MultipartyLpNormProtocol = StarLpNormProtocol
 MultipartyL0SamplingProtocol = StarL0SamplingProtocol

@@ -13,9 +13,10 @@ a cluster estimate runs over real localhost (or LAN) sockets:
   of :mod:`repro.comm.wire` (arrays and bundles) with a pickle fallback
   for composite protocol payloads.
 * :mod:`repro.service.transport` — :class:`~repro.service.transport
-  .RemoteNetwork` (a :class:`~repro.comm.network.Network` whose ``send``
-  also ships the encoded payload over the site's TCP connection and
-  counts **observed** wire bytes per link per round) and
+  .RemoteNetwork` and :class:`~repro.service.transport.RemoteTreeNetwork`
+  (the in-process star and depth-<=2 tree, whose every message also ships
+  its encoded payload over a TCP connection through one shared socket
+  carrier that counts **observed** wire bytes per edge per round) and
   :class:`~repro.service.transport.RemoteRuntime` (a
   :class:`~repro.engine.runtime.Runtime` that fans per-site tasks out to
   the site processes).
@@ -35,7 +36,8 @@ a cluster estimate runs over real localhost (or LAN) sockets:
 The contract the test suite pins (``tests/service/``): a k-site cluster
 over real sockets produces **bit-identical estimates and bit/round meters**
 to the in-process serial runtime, and the observed socket bytes satisfy
-``observed_bytes * 8 == wire-metered bits`` on every link — exactly, with
+``observed_bytes * 8 == wire-metered bits`` on every link and tree edge
+and in every round — exactly, with
 the streamed session's delta uploads additionally matching the in-process
 simulated meter byte for byte (streaming bits *are* encoded bytes).
 """

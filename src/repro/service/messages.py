@@ -4,7 +4,7 @@ A service message is ``(type, meta, payload)``:
 
 * ``type`` — one of :data:`MESSAGE_TYPES` (one byte on the wire);
 * ``meta`` — a small JSON object of control fields (site index, label,
-  declared bits, round index, ...);
+  round index, payload digest, ...);
 * ``payload`` — opaque bytes produced by :func:`encode_payload`.
 
 Message body layout (wrapped in a :mod:`repro.comm.framing` frame)::

@@ -3,29 +3,33 @@
 Three pieces turn an in-process protocol execution into a distributed one
 without touching a line of protocol code:
 
-:class:`RemoteNetwork`
-    A :class:`~repro.comm.network.Network` whose :meth:`send` *also*
-    transmits the message over the corresponding site's TCP connection.
-    Downstream messages are pushed to the site (which acks with the byte
-    count it observed on its socket); upstream messages are pushed back by
-    the *site* — the server hands the site a control copy (``relay``) and
-    the site emits the actual ``msg`` frame, so the payload bytes
-    physically travel site -> server and are counted off the server's
-    socket.  Every payload crossing is digest-checked, so a transport that
-    corrupted or dropped a single byte fails loudly.
+:class:`RemoteNetwork` / :class:`RemoteTreeNetwork`
+    The in-process star and aggregation tree
+    (:class:`~repro.comm.network.Network`,
+    :class:`~repro.comm.network.TreeNetwork`), whose every metered message
+    *also* crosses a real socket.  Both hand each crossing to one private
+    carrier, ``_SocketEdges``, that treats a star as a tree whose edges
+    are all direct links.  Downstream payloads are pushed to the child
+    (which acks with the byte count it observed on its socket); upstream
+    payloads are pushed back by the *sender* — the server hands it a
+    control copy (``relay``) and the sender emits the actual ``msg``
+    frame, so the payload bytes physically travel up the edge.  Every
+    crossing is digest-checked, so a transport that corrupted or dropped a
+    single byte fails loudly.
 
-    The network keeps **three** independent meters:
+    The networks keep **three** independent meters:
 
     * the inherited simulated meter — the paper-convention formula bits,
       bit-identical to an in-process run of the same protocol;
     * a *wire meter* (same round structure) charging 8 bits per actually
       encoded payload byte — the service's billing convention, and the
       convention the streaming runtime already uses in-process;
-    * *observed* byte counters per link per round, measured at the socket
-      (server-side reads for upstream, site-side reads for downstream).
+    * *observed* byte counters per edge per round, measured at the socket
+      (the receiver's reads, reported back in acks where that is not the
+      server).
 
     The service invariant, asserted in ``tests/service/``:
-    ``observed_bytes * 8 == wire-meter bits`` on every link and in every
+    ``observed_bytes * 8 == wire-meter bits`` on every edge and in every
     round — and for streaming payloads (already encoded bytes, charged
     8 bits/byte in-process too) all three meters coincide exactly.
 
@@ -37,7 +41,7 @@ without touching a line of protocol code:
     executor, so outputs stay bit-identical.
 
 :class:`SocketTransport`
-    The :class:`~repro.comm.transport.Transport` gluing both to a set of
+    The :class:`~repro.comm.transport.Transport` gluing them to a set of
     live site links; plugged into the estimator facades via their
     ``transport=`` parameter.
 
@@ -90,7 +94,7 @@ class SiteLink:
     request/reply primitive plus the socket-observed byte counters for
     *upstream* ``msg`` frames (the server counts those off its own reads;
     downstream observations come back in the site's acks and are recorded
-    here by the :class:`RemoteNetwork`).
+    by the network's carrier).
     """
 
     site_name: str
@@ -100,7 +104,7 @@ class SiteLink:
 
         ``timeout`` bounds the wait in real seconds; expiry raises
         :class:`TimeoutError` (the caller classifies it — see
-        :meth:`RemoteNetwork._request`)."""
+        :func:`request_with_retry`)."""
         raise NotImplementedError
 
     def submit(self, message: Message, *, flush: bool = True):
@@ -164,6 +168,257 @@ def request_with_retry(
         time.sleep(backoff * (2 ** (attempt - 1)))
 
 
+class _SocketEdges:
+    """The socket crossings of one network's edges, with their meters.
+
+    Every edge is keyed by its child endpoint and hangs off ``parent[edge]``.
+    A *direct* edge hangs off the root: its child holds a live connection.
+    Any other edge is a leaf behind an aggregator, reached through a routed
+    link over the aggregator's connection.  A star is the case where every
+    edge is direct; a depth-2 tree mixes both.
+
+    :meth:`push` carries one downstream payload, :meth:`pull` one upstream
+    payload.  Both digest-check every crossing, so a transport that
+    corrupted or dropped a single byte raises
+    :class:`~repro.service.messages.CorruptFrameError`.  Before its first
+    burst of an aggregate round, each direct link gets a staged ``round``
+    open, so both endpoints attribute observed bytes to the same round.
+
+    Meters, keyed by edge: a wire meter charging 8 bits per encoded payload
+    body byte (same round structure as the simulated log), and the
+    socket-observed body bytes per edge and per (edge, round).
+    """
+
+    def __init__(
+        self,
+        links: Mapping[str, SiteLink],
+        parent: Mapping[str, str],
+        root: str,
+        *,
+        deadline: float | None,
+        retries: int,
+        backoff: float,
+        on_retry: Callable[[str], None] | None,
+    ) -> None:
+        missing = [edge for edge in parent if edge not in links]
+        if missing:
+            raise ServiceError(
+                f"no live connection or route for {missing}; registered "
+                f"links: {sorted(links)}"
+            )
+        self.links = {edge: links[edge] for edge in parent}
+        self.parent = dict(parent)
+        self.root = root
+        #: Per-request reply deadline (real seconds; None = wait forever).
+        self.deadline = deadline
+        #: Retry budget for transient refusals (a site's ``retry`` reply).
+        self.retries = int(retries)
+        #: Base backoff between retries, doubled per attempt.
+        self.backoff = float(backoff)
+        self.on_retry = on_retry
+        self.wire_log = MessageLog()
+        self.wire_links: dict[str, MessageLog] = {edge: MessageLog() for edge in parent}
+        self.observed_link_bytes: Counter[str] = Counter()
+        self.observed_round_bytes: dict[str, Counter[int]] = {
+            edge: Counter() for edge in parent
+        }
+        self._opened_round: dict[str, int] = {}
+
+    # ------------------------------------------------------------- crossings
+    def push(
+        self,
+        children: Sequence[str],
+        payload: Any,
+        label: str,
+        round_index: int,
+        blob: bytes | None = None,
+    ) -> None:
+        """Carry one downstream payload to every edge in ``children``.
+
+        One frame per direct link; its ``forward`` list names the targeted
+        leaves behind it, and the aggregator forwards the same bytes to
+        each.  ``blob`` is the payload already encoded (a broadcast encodes
+        once for every link).
+        """
+        if blob is None:
+            blob = encode_payload(payload)
+        body_bytes, digest = len(blob) - PAYLOAD_TAG_BYTES, payload_digest(blob)
+        forward: dict[str, list[str]] = {}
+        for child in children:
+            top = self._top(child)
+            targets = forward.setdefault(top, [])
+            if child != top:
+                targets.append(child)
+        for top, targets in forward.items():
+            meta: dict[str, Any] = {
+                "label": label,
+                "round": round_index,
+                "digest": digest,
+            }
+            if targets:
+                meta["forward"] = targets
+            reply = self._request(top, round_index, Message("msg", meta, blob))
+            if reply.type != "ack":
+                raise ServiceError(
+                    f"site {top!r} answered a downstream msg with "
+                    f"{reply.type!r}: {reply.meta}"
+                )
+            children_meta = reply.meta.get("children", {})
+            acks = [(top, reply.meta)]
+            acks += [(child, children_meta.get(child)) for child in targets]
+            for edge, ack in acks:
+                self._check_ack(edge, "downstream", ack, body_bytes, digest)
+                self._observe(edge, round_index, body_bytes)
+                self._wire(edge, DOWNSTREAM, label, body_bytes)
+
+    def pull(self, child: str, payload: Any, label: str, round_index: int) -> None:
+        """Make one upstream payload physically travel ``child``'s edge.
+
+        The server hands the sender a control copy (``relay``) and the
+        sender pushes the bytes back.  On a direct edge the echo arrives
+        here, counted off the coordinator's own socket.  On a routed leaf
+        edge the aggregator counts the echo off its socket and acks with
+        the count and digest only; the payload goes no further.
+        """
+        blob = encode_payload(payload)
+        body_bytes, digest = len(blob) - PAYLOAD_TAG_BYTES, payload_digest(blob)
+        meta = {"label": label, "round": round_index, "digest": digest}
+        reply = self._request(child, round_index, Message("relay", meta, blob))
+        if self.parent[child] != self.root:
+            if reply.type != "ack":
+                raise ServiceError(
+                    f"aggregated relay for {child!r} answered with "
+                    f"{reply.type!r}: {reply.meta}"
+                )
+            self._check_ack(child, "upstream", reply.meta, body_bytes, digest)
+            self._observe(child, round_index, body_bytes)
+        else:
+            if reply.type != "msg":
+                raise ServiceError(
+                    f"site {child!r} answered a relay with {reply.type!r}: "
+                    f"{reply.meta}"
+                )
+            if payload_digest(reply.payload) != digest:
+                raise CorruptFrameError(
+                    f"upstream payload from {child!r} corrupted in transit "
+                    f"(digest mismatch over {len(reply.payload)} echoed bytes)",
+                    site=child,
+                )
+            # The payload decoded from the socket bytes must reconstruct
+            # the value bit-exactly; a codec that silently lost precision
+            # would otherwise hide behind the server-side original.
+            decode_payload(reply.payload)
+            for rnd, nbytes in self.links[child].take_observed_upstream():
+                self._observe(child, rnd, nbytes)
+        self._wire(child, UPSTREAM, label, body_bytes)
+
+    # --------------------------------------------------------------- helpers
+    def _top(self, edge: str) -> str:
+        """The direct edge whose connection carries ``edge``'s frames."""
+        while self.parent[edge] != self.root:
+            edge = self.parent[edge]
+        return edge
+
+    def _request(self, edge: str, round_index: int, message: Message) -> Message:
+        """One request on ``edge``, opening the round on its direct link.
+
+        The open is *staged* (``flush=False``): the request flushes both
+        frames in one coalesced write, and FIFO order guarantees the open's
+        ack arrives before the request's reply.
+        """
+        top = self._top(edge)
+        opened = None
+        if self._opened_round.get(top, 0) != round_index:
+            self._opened_round[top] = round_index
+            opened = self.links[top].submit(
+                Message("round", {"round": round_index}), flush=False
+            )
+        reply = request_with_retry(
+            edge,
+            self.links[edge],
+            message,
+            deadline=self.deadline,
+            retries=self.retries,
+            backoff=self.backoff,
+            on_retry=self.on_retry,
+        )
+        if opened is not None:
+            ack = opened.result(self.deadline)
+            if ack.type != "ack":
+                raise ServiceError(
+                    f"site {top!r} answered a round open with {ack.type!r}"
+                )
+        return reply
+
+    @staticmethod
+    def _check_ack(
+        edge: str,
+        crossing: str,
+        ack: Mapping[str, Any] | None,
+        body_bytes: int,
+        digest: str,
+    ) -> None:
+        """An ack must report exactly the bytes and digest that were sent."""
+        ack = ack or {}
+        observed = int(ack.get("observed", -1))
+        if observed != body_bytes or ack.get("digest") != digest:
+            raise CorruptFrameError(
+                f"{crossing} payload on edge {edge!r} corrupted in transit: "
+                f"sent {body_bytes} bytes ({digest[:12]}...), observed "
+                f"{observed} ({str(ack.get('digest'))[:12]}...)",
+                site=edge,
+            )
+
+    def _observe(self, edge: str, round_index: int, nbytes: int) -> None:
+        self.observed_link_bytes[edge] += nbytes
+        self.observed_round_bytes[edge][round_index] += nbytes
+
+    def _wire(self, edge: str, direction: str, label: str, body_bytes: int) -> None:
+        parent = self.parent[edge]
+        sender, receiver = (edge, parent) if direction == UPSTREAM else (parent, edge)
+        # The wire meter flips rounds on the same direction changes as the
+        # simulated log, so both meters share one round structure.
+        self.wire_log.record(
+            sender,
+            receiver,
+            None,
+            label=label,
+            bits=8 * body_bytes,
+            direction_key=direction,
+        )
+        self.wire_links[edge].record(
+            sender, receiver, None, label=label, bits=8 * body_bytes
+        )
+
+    # ------------------------------------------------------------ accounting
+    def report(self, network: Network) -> dict[str, Any]:
+        """The observed-vs-metered summary shipped with every answer."""
+        return {
+            "rounds": network.rounds,
+            "simulated_bits": network.total_bits,
+            "simulated_link_bits": network.link_bits(),
+            "wire_bits": self.wire_log.total_bits,
+            "wire_link_bits": {
+                edge: log.total_bits for edge, log in self.wire_links.items()
+            },
+            "wire_round_bits": self.wire_log.bits_per_round(),
+            "observed_bytes": sum(self.observed_link_bytes.values()),
+            "observed_link_bytes": dict(self.observed_link_bytes),
+            "observed_round_bytes": {
+                edge: dict(rounds) for edge, rounds in self.observed_round_bytes.items()
+            },
+        }
+
+    def reset(self) -> None:
+        self.wire_log.reset()
+        for log in self.wire_links.values():
+            log.reset()
+        self.observed_link_bytes.clear()
+        for rounds in self.observed_round_bytes.values():
+            rounds.clear()
+        self._opened_round.clear()
+
+
 class RemoteNetwork(Network):
     """A metered star whose messages additionally travel over real sockets."""
 
@@ -180,46 +435,17 @@ class RemoteNetwork(Network):
         on_retry: Callable[[str], None] | None = None,
     ) -> None:
         super().__init__(site_names, coordinator_name, conditions=conditions)
-        missing = [name for name in self.site_names if name not in links]
-        if missing:
-            raise ServiceError(
-                f"no live site connection for {missing}; registered links: "
-                f"{sorted(links)}"
-            )
-        self._site_links = {name: links[name] for name in self.site_names}
-        #: Per-request reply deadline (real seconds; None = wait forever).
-        self.deadline = deadline
-        #: Retry budget for transient refusals (a site's ``retry`` reply).
-        self.retries = int(retries)
-        #: Base backoff between retries, doubled per attempt.
-        self.backoff = float(backoff)
-        self._on_retry = on_retry
-        self.wire_log = MessageLog()
-        self.wire_links: dict[str, MessageLog] = {
-            name: MessageLog() for name in self.site_names
-        }
-        #: Socket-observed payload bytes, per link and per (link, round).
-        self.observed_link_bytes: Counter[str] = Counter()
-        self.observed_round_bytes: dict[str, Counter[int]] = {
-            name: Counter() for name in self.site_names
-        }
-        self._notified_round: dict[str, int] = {name: 0 for name in self.site_names}
+        self._edges = _SocketEdges(
+            links,
+            dict.fromkeys(self.site_names, coordinator_name),
+            coordinator_name,
+            deadline=deadline,
+            retries=retries,
+            backoff=backoff,
+            on_retry=on_retry,
+        )
         self._broadcast_blob: bytes | None = None
 
-    # --------------------------------------------------------------- request
-    def _request(self, site: str, link: SiteLink, message: Message) -> Message:
-        """See :func:`request_with_retry` (this network's knobs applied)."""
-        return request_with_retry(
-            site,
-            link,
-            message,
-            deadline=self.deadline,
-            retries=self.retries,
-            backoff=self.backoff,
-            on_retry=self._on_retry,
-        )
-
-    # ------------------------------------------------------------------ send
     def send(
         self,
         sender: str,
@@ -233,92 +459,13 @@ class RemoteNetwork(Network):
         result = super().send(
             sender, receiver, payload, label=label, bits=bits, universe=universe
         )
-        record = self.log.messages[-1]  # bits + aggregate round as charged
-        downstream = sender == self.coordinator_name
-        site = receiver if downstream else sender
-        link = self._site_links[site]
-
-        round_future = None
-        if self._notified_round[site] != record.round_index:
-            # Open the aggregate round on this link before its first burst,
-            # so both endpoints attribute observed bytes to the same round.
-            # The open is *staged* (flush=False): the burst's own request
-            # below flushes both frames in one coalesced write, and FIFO
-            # guarantees the ack lands before the burst's reply.
-            self._notified_round[site] = record.round_index
-            round_future = link.submit(
-                Message("round", {"round": record.round_index}), flush=False
+        round_index = self.log.messages[-1].round_index
+        if sender == self.coordinator_name:
+            self._edges.push(
+                [receiver], payload, label, round_index, self._broadcast_blob
             )
-
-        blob = (
-            self._broadcast_blob
-            if self._broadcast_blob is not None
-            else encode_payload(payload)
-        )
-        # The 1-byte codec tag is envelope (like the frame header and meta):
-        # both the wire meter and the observed counters measure the codec
-        # body, so a streaming delta of n bytes meters as n bytes here too.
-        body_bytes = len(blob) - PAYLOAD_TAG_BYTES
-        digest = payload_digest(blob)
-        meta = {
-            "label": label,
-            "bits": record.bits,
-            "round": record.round_index,
-            "digest": digest,
-        }
-        if downstream:
-            reply = self._request(site, link, Message("msg", meta, blob))
-            self._confirm_round(site, round_future)
-            if reply.type != "ack":
-                raise ServiceError(
-                    f"site {site!r} answered a downstream msg with {reply.type!r}: "
-                    f"{reply.meta}"
-                )
-            observed = int(reply.meta["observed"])
-            if observed != body_bytes or reply.meta.get("digest") != digest:
-                raise CorruptFrameError(
-                    f"downstream payload to {site!r} corrupted in transit: sent "
-                    f"{body_bytes} bytes ({digest[:12]}...), site observed "
-                    f"{observed} ({str(reply.meta.get('digest'))[:12]}...)",
-                    site=site,
-                )
-            self.observed_link_bytes[site] += observed
-            self.observed_round_bytes[site][record.round_index] += observed
         else:
-            reply = self._request(site, link, Message("relay", meta, blob))
-            self._confirm_round(site, round_future)
-            if reply.type != "msg":
-                raise ServiceError(
-                    f"site {site!r} answered a relay with {reply.type!r}: "
-                    f"{reply.meta}"
-                )
-            if payload_digest(reply.payload) != digest:
-                raise CorruptFrameError(
-                    f"upstream payload from {site!r} corrupted in transit "
-                    f"(digest mismatch over {len(reply.payload)} echoed bytes)",
-                    site=site,
-                )
-            # The payload decoded from the socket bytes must reconstruct
-            # the value bit-exactly; a codec that silently lost precision
-            # would otherwise hide behind the server-side original.
-            decode_payload(reply.payload)
-            for round_index, nbytes in link.take_observed_upstream():
-                self.observed_link_bytes[site] += nbytes
-                self.observed_round_bytes[site][round_index] += nbytes
-
-        # The wire meter flips rounds on the same direction changes as the
-        # simulated log, so both meters share one round structure.
-        self.wire_log.record(
-            sender,
-            receiver,
-            None,
-            label=label,
-            bits=8 * body_bytes,
-            direction_key=DOWNSTREAM if downstream else UPSTREAM,
-        )
-        self.wire_links[site].record(
-            sender, receiver, None, label=label, bits=8 * body_bytes
-        )
+            self._edges.pull(sender, payload, label, round_index)
         return result
 
     def broadcast(self, payload, *, label: str = "", bits=None, sites=None):
@@ -335,52 +482,13 @@ class RemoteNetwork(Network):
         finally:
             self._broadcast_blob = None
 
-    def _confirm_round(self, site: str, round_future) -> None:
-        """Verify a staged round open's ack (FIFO: it already arrived)."""
-        if round_future is None:
-            return
-        opened = round_future.result(self.deadline)
-        if opened.type != "ack":
-            raise ServiceError(
-                f"site {site!r} answered a round open with {opened.type!r}"
-            )
-
-    # ------------------------------------------------------------ accounting
-    def wire_link_bits(self) -> dict[str, int]:
-        """Per-link wire-metered bits (8 per encoded payload byte)."""
-        return {name: log.total_bits for name, log in self.wire_links.items()}
-
-    @property
-    def observed_total_bytes(self) -> int:
-        """Socket-observed payload bytes over all links."""
-        return sum(self.observed_link_bytes.values())
-
     def service_report(self) -> dict[str, Any]:
         """The observed-vs-metered summary shipped with every answer."""
-        return {
-            "rounds": self.rounds,
-            "simulated_bits": self.total_bits,
-            "simulated_link_bits": self.link_bits(),
-            "wire_bits": self.wire_log.total_bits,
-            "wire_link_bits": self.wire_link_bits(),
-            "wire_round_bits": self.wire_log.bits_per_round(),
-            "observed_bytes": self.observed_total_bytes,
-            "observed_link_bytes": dict(self.observed_link_bytes),
-            "observed_round_bytes": {
-                name: dict(rounds)
-                for name, rounds in self.observed_round_bytes.items()
-            },
-        }
+        return self._edges.report(self)
 
     def reset(self) -> None:
         super().reset()
-        self.wire_log.reset()
-        for log in self.wire_links.values():
-            log.reset()
-        self.observed_link_bytes.clear()
-        for rounds in self.observed_round_bytes.values():
-            rounds.clear()
-        self._notified_round = {name: 0 for name in self.site_names}
+        self._edges.reset()
 
 
 class RemoteTreeNetwork(TreeNetwork):
@@ -435,28 +543,15 @@ class RemoteTreeNetwork(TreeNetwork):
                 f"<= 2 (aggregators as root children); got depth {tree.depth}"
             )
         super().__init__(tree, conditions=conditions)
-        edges = list(tree.site_names) + list(tree.aggregators)
-        missing = [name for name in edges if name not in links]
-        if missing:
-            raise ServiceError(
-                f"no live connection or route for {missing}; registered "
-                f"links: {sorted(links)}"
-            )
-        self._site_links = {name: links[name] for name in edges}
-        self.deadline = deadline
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self._on_retry = on_retry
-        self.wire_log = MessageLog()
-        self.wire_links: dict[str, MessageLog] = {name: MessageLog() for name in edges}
-        self.observed_link_bytes: Counter[str] = Counter()
-        self.observed_round_bytes: dict[str, Counter[int]] = {
-            name: Counter() for name in edges
-        }
-        #: Round opens happen once per direct connection (root children).
-        self._notified_round: dict[str, int] = {
-            child: 0 for child in tree.children[tree.root]
-        }
+        self._edges = _SocketEdges(
+            links,
+            {edge: tree.parent[edge] for edge in [*tree.site_names, *tree.aggregators]},
+            tree.root,
+            deadline=deadline,
+            retries=retries,
+            backoff=backoff,
+            on_retry=on_retry,
+        )
 
     # Merges stay coordinator-side: TreeTopology assigns the protocol
     # runtime here, but a RemoteRuntime would ship merge closures to the
@@ -469,241 +564,31 @@ class RemoteTreeNetwork(TreeNetwork):
     def merge_runtime(self, value) -> None:
         pass
 
-    # --------------------------------------------------------------- request
-    def _request(self, site: str, link: SiteLink, message: Message) -> Message:
-        return request_with_retry(
-            site,
-            link,
-            message,
-            deadline=self.deadline,
-            retries=self.retries,
-            backoff=self.backoff,
-            on_retry=self._on_retry,
-        )
-
-    def _root_child_of(self, child: str) -> str:
-        """The direct-connection endpoint fronting ``child``'s subtree."""
-        node = child
-        while self.tree.parent[node] != self.coordinator_name:
-            node = self.tree.parent[node]
-        return node
-
-    def _open_round(self, top: str, round_index: int):
-        """Stage a round open on a direct link before its first burst.
-
-        Returns the staged ack future (or None); the caller's next request
-        flushes both frames in one write, and FIFO guarantees the ack
-        arrives first — verify it with :meth:`_confirm_round` afterwards.
-        """
-        if self._notified_round[top] == round_index:
-            return None
-        self._notified_round[top] = round_index
-        return self._site_links[top].submit(
-            Message("round", {"round": round_index}), flush=False
-        )
-
-    def _confirm_round(self, top: str, round_future) -> None:
-        if round_future is None:
-            return
-        opened = round_future.result(self.deadline)
-        if opened.type != "ack":
-            raise ServiceError(
-                f"site {top!r} answered a round open with {opened.type!r}"
-            )
-
-    def _observe(self, edge: str, round_index: int, nbytes: int) -> None:
-        self.observed_link_bytes[edge] += nbytes
-        self.observed_round_bytes[edge][round_index] += nbytes
-
-    def _wire(
-        self, edge: str, direction: str, label: str, body_bytes: int
-    ) -> None:
-        parent = self.tree.parent[edge]
-        sender, receiver = (
-            (edge, parent) if direction == UPSTREAM else (parent, edge)
-        )
-        self.wire_log.record(
-            sender,
-            receiver,
-            None,
-            label=label,
-            bits=8 * body_bytes,
-            direction_key=direction,
-        )
-        self.wire_links[edge].record(
-            sender, receiver, None, label=label, bits=8 * body_bytes
-        )
-
-    # ------------------------------------------------------------- crossings
     def _record_hop(
         self, child: str, direction: str, payload: Any, label: str, bits: int
     ) -> None:
         super()._record_hop(child, direction, payload, label, bits)
         if direction == UPSTREAM:
-            round_index = self.log.messages[-1].round_index
-            self._cross_upstream(child, payload, label, round_index)
-
-    def _cross_upstream(
-        self, child: str, payload: Any, label: str, round_index: int
-    ) -> None:
-        """Make one upstream edge's payload physically travel its socket."""
-        blob = encode_payload(payload)
-        body_bytes = len(blob) - PAYLOAD_TAG_BYTES
-        digest = payload_digest(blob)
-        top = self._root_child_of(child)
-        round_future = self._open_round(top, round_index)
-        meta = {
-            "label": label,
-            "bits": 8 * body_bytes,
-            "round": round_index,
-            "digest": digest,
-        }
-        link = self._site_links[child]
-        reply = self._request(child, link, Message("relay", meta, blob))
-        self._confirm_round(top, round_future)
-        if child == top:
-            # Direct edge: the endpoint echoed the payload; its bytes were
-            # counted off the coordinator's own socket read.
-            if reply.type != "msg":
-                raise ServiceError(
-                    f"site {child!r} answered a relay with {reply.type!r}: "
-                    f"{reply.meta}"
-                )
-            if payload_digest(reply.payload) != digest:
-                raise CorruptFrameError(
-                    f"upstream payload from {child!r} corrupted in transit "
-                    f"(digest mismatch over {len(reply.payload)} echoed bytes)",
-                    site=child,
-                )
-            decode_payload(reply.payload)
-            for rnd, nbytes in link.take_observed_upstream():
-                self._observe(child, rnd, nbytes)
-        else:
-            # Routed leaf edge: the leaf echoed to its aggregator, which
-            # counted the bytes off ITS socket and reported them — the
-            # payload never traveled past the aggregator.
-            if reply.type != "ack":
-                raise ServiceError(
-                    f"aggregated relay for {child!r} answered with "
-                    f"{reply.type!r}: {reply.meta}"
-                )
-            observed = int(reply.meta.get("observed", -1))
-            if observed != body_bytes or reply.meta.get("digest") != digest:
-                raise CorruptFrameError(
-                    f"upstream payload from {child!r} corrupted on its leaf "
-                    f"edge: sent {body_bytes} bytes ({digest[:12]}...), "
-                    f"aggregator observed {observed} "
-                    f"({str(reply.meta.get('digest'))[:12]}...)",
-                    site=child,
-                )
-            self._observe(child, round_index, observed)
-        self._wire(child, UPSTREAM, label, body_bytes)
+            self._edges.pull(child, payload, label, self.log.messages[-1].round_index)
 
     def _deliver_downstream(
         self, edge_children: Sequence[str], payload: Any, label: str, bits: int
     ) -> None:
-        """One physical frame per root-child subtree, payload encoded once."""
         super()._deliver_downstream(edge_children, payload, label, bits)
         round_index = self.log.messages[-1].round_index
-        blob = encode_payload(payload)
-        body_bytes = len(blob) - PAYLOAD_TAG_BYTES
-        digest = payload_digest(blob)
-        groups: dict[str, list[str]] = {}
-        order: list[str] = []
-        for child in edge_children:
-            top = self._root_child_of(child)
-            if top not in groups:
-                groups[top] = []
-                order.append(top)
-            if child != top:
-                groups[top].append(child)
-        for top in order:
-            link = self._site_links[top]
-            round_future = self._open_round(top, round_index)
-            meta = {
-                "label": label,
-                "bits": 8 * body_bytes,
-                "round": round_index,
-                "digest": digest,
-            }
-            if groups[top]:
-                meta["forward"] = groups[top]
-            reply = self._request(top, link, Message("msg", meta, blob))
-            self._confirm_round(top, round_future)
-            if reply.type != "ack":
-                raise ServiceError(
-                    f"site {top!r} answered a downstream msg with "
-                    f"{reply.type!r}: {reply.meta}"
-                )
-            observed = int(reply.meta.get("observed", -1))
-            if observed != body_bytes or reply.meta.get("digest") != digest:
-                raise CorruptFrameError(
-                    f"downstream payload to {top!r} corrupted in transit: "
-                    f"sent {body_bytes} bytes ({digest[:12]}...), observed "
-                    f"{observed} ({str(reply.meta.get('digest'))[:12]}...)",
-                    site=top,
-                )
-            self._observe(top, round_index, observed)
-            self._wire(top, DOWNSTREAM, label, body_bytes)
-            children_meta = reply.meta.get("children", {})
-            for child in groups[top]:
-                entry = children_meta.get(child)
-                if (
-                    entry is None
-                    or int(entry.get("observed", -1)) != body_bytes
-                    or entry.get("digest") != digest
-                ):
-                    raise CorruptFrameError(
-                        f"downstream payload forwarded to {child!r} corrupted "
-                        f"on its leaf edge (aggregator {top!r} reported "
-                        f"{entry})",
-                        site=child,
-                    )
-                self._observe(child, round_index, int(entry["observed"]))
-                self._wire(child, DOWNSTREAM, label, body_bytes)
-
-    # ------------------------------------------------------------ accounting
-    def wire_link_bits(self) -> dict[str, int]:
-        """Per-edge wire-metered bits (8 per encoded payload byte)."""
-        self._drain()
-        return {name: log.total_bits for name, log in self.wire_links.items()}
-
-    @property
-    def observed_total_bytes(self) -> int:
-        self._drain()
-        return sum(self.observed_link_bytes.values())
+        self._edges.push(edge_children, payload, label, round_index)
 
     def service_report(self) -> dict[str, Any]:
-        """The observed-vs-metered summary (same shape as the star's)."""
-        self._drain()
+        """The star's summary plus the tree shape and the root's fan-in."""
         return {
-            "rounds": self.rounds,
-            "simulated_bits": self.total_bits,
-            "simulated_link_bits": self.link_bits(),
-            "wire_bits": self.wire_log.total_bits,
-            "wire_link_bits": self.wire_link_bits(),
-            "wire_round_bits": self.wire_log.bits_per_round(),
-            "observed_bytes": self.observed_total_bytes,
-            "observed_link_bytes": dict(self.observed_link_bytes),
-            "observed_round_bytes": {
-                name: dict(rounds)
-                for name, rounds in self.observed_round_bytes.items()
-            },
+            **self._edges.report(self),
             "tree": self.tree.describe(),
             "root_link_bits": self.root_link_bits(),
         }
 
     def reset(self) -> None:
         super().reset()
-        self.wire_log.reset()
-        for log in self.wire_links.values():
-            log.reset()
-        self.observed_link_bytes.clear()
-        for rounds in self.observed_round_bytes.values():
-            rounds.clear()
-        self._notified_round = {
-            child: 0 for child in self.tree.children[self.tree.root]
-        }
+        self._edges.reset()
 
 
 class RemoteRuntime(Runtime):

@@ -1,17 +1,15 @@
-"""The ``repro.multiparty`` compatibility shims.
+"""The ``repro.multiparty`` compatibility surface after the shim removals.
 
-The ``protocols`` shim must warn **exactly once per import**, attribute the
-warning to the importing code (not to the frozen importlib machinery), and
-keep every historical name resolving to the engine implementation it
-aliases.  The ``repro.multiparty.network`` alias module completed its
-scheduled removal: importing it must now fail, pinned below so the import
-error is a deliberate contract rather than an accident.
+The deprecated ``protocols`` module, the ``site`` alias and the ``network``
+alias completed their scheduled removal: importing any of them must now
+fail, pinned below so the import error is a deliberate contract rather than
+an accident.  The package itself keeps the historical ``Multiparty*``
+names, resolving to the engine implementations they alias.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
 
 import pytest
 
@@ -22,82 +20,48 @@ from repro.engine.heavy_hitters import (
 )
 from repro.engine.l0_sampling import StarL0SamplingProtocol
 from repro.engine.lp_norm import StarLpNormProtocol, star_lp_pp_estimate
-from repro.engine.topology import coerce_shards
+from repro.engine.topology import Coordinator, Site
 
 
-def fresh_import():
-    """Import the shim from scratch, recording every warning it emits."""
-    sys.modules.pop("repro.multiparty.protocols", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.multiparty.protocols as shim
-    return shim, caught
-
-
-class TestDeprecationShim:
-    def test_warns_exactly_once_per_import(self):
-        _, caught = fresh_import()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.multiparty.protocols is deprecated" in str(
-            deprecations[0].message
-        )
-        assert "repro.engine" in str(deprecations[0].message)
-
-    def test_cached_reimport_stays_silent(self):
-        fresh_import()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.multiparty.protocols  # noqa: F401  (cached)
-        assert caught == []
-
-    def test_warning_attributed_to_the_importer(self):
-        """The warning points at the import statement, not frozen importlib."""
-        _, caught = fresh_import()
-        (warning,) = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert warning.filename == __file__
-        assert "importlib" not in warning.filename
-
-    def test_pytest_warns_sees_the_import(self):
-        sys.modules.pop("repro.multiparty.protocols", None)
-        with pytest.warns(DeprecationWarning, match="protocol bodies moved"):
-            import repro.multiparty.protocols  # noqa: F401
-
+class TestPackageAliases:
     def test_aliases_resolve_to_engine_implementations(self):
-        shim, _ = fresh_import()
-        assert shim.CoordinatorProtocol is StarProtocol
-        assert shim.MultipartyLpNormProtocol is StarLpNormProtocol
-        assert shim.MultipartyL0SamplingProtocol is StarL0SamplingProtocol
-        assert shim.MultipartyHeavyHittersProtocol is StarHeavyHittersProtocol
-        assert (
-            shim.MultipartyBinaryHeavyHittersProtocol
-            is StarBinaryHeavyHittersProtocol
-        )
-        assert shim.star_lp_pp_estimate is star_lp_pp_estimate
-        assert shim.coerce_shards is coerce_shards
-
-    def test_every_advertised_name_resolves(self):
-        shim, _ = fresh_import()
-        for name in shim.__all__:
-            assert getattr(shim, name) is not None, f"missing export {name}"
-
-    def test_package_level_aliases_match_the_shim(self):
-        """``repro.multiparty`` exposes the same names without deprecation."""
         import repro.multiparty as pkg
 
-        shim, _ = fresh_import()
-        for name in (
-            "CoordinatorProtocol",
-            "MultipartyLpNormProtocol",
-            "MultipartyL0SamplingProtocol",
-            "MultipartyHeavyHittersProtocol",
-            "MultipartyBinaryHeavyHittersProtocol",
-        ):
-            assert getattr(pkg, name) is getattr(shim, name)
+        assert pkg.CoordinatorProtocol is StarProtocol
+        assert pkg.MultipartyLpNormProtocol is StarLpNormProtocol
+        assert pkg.MultipartyL0SamplingProtocol is StarL0SamplingProtocol
+        assert pkg.MultipartyHeavyHittersProtocol is StarHeavyHittersProtocol
+        assert (
+            pkg.MultipartyBinaryHeavyHittersProtocol
+            is StarBinaryHeavyHittersProtocol
+        )
+        assert pkg.star_lp_pp_estimate is star_lp_pp_estimate
+        assert pkg.Site is Site
+        assert pkg.Coordinator is Coordinator
+
+    def test_every_advertised_name_resolves(self):
+        import repro.multiparty as pkg
+
+        for name in pkg.__all__:
+            assert getattr(pkg, name) is not None, f"missing export {name}"
+
+
+class TestProtocolsShimRemoved:
+    """``repro.multiparty.protocols`` is gone; ``repro.engine`` holds the bodies."""
+
+    def test_the_shim_module_is_gone(self):
+        sys.modules.pop("repro.multiparty.protocols", None)
+        with pytest.raises(ModuleNotFoundError):
+            import repro.multiparty.protocols  # noqa: F401
+
+
+class TestSiteAliasRemoved:
+    """``repro.multiparty.site`` is gone; the endpoints live in the engine."""
+
+    def test_the_alias_module_is_gone(self):
+        sys.modules.pop("repro.multiparty.site", None)
+        with pytest.raises(ModuleNotFoundError):
+            import repro.multiparty.site  # noqa: F401
 
 
 class TestNetworkAliasRemoved:

@@ -5,7 +5,8 @@ processes fronting leaf-site processes, every tree edge its own TCP
 connection — changes nothing about the estimates (bit-identical to the
 in-process flat star with the same seed) while the coordinator's socket
 fan-in drops from k to the number of root children; and the service
-invariant ``observed_bytes * 8 == wire_bits`` holds on every tree edge.
+invariant ``observed_bytes * 8 == wire_bits`` holds on every tree edge and
+in every round.
 """
 
 import numpy as np
@@ -33,10 +34,17 @@ def _two_level_tree():
 
 
 def _assert_edge_invariant(report):
-    """observed * 8 == wire bits, in total and on every tree edge."""
+    """observed * 8 == wire bits: in total, on every tree edge, in every round."""
     assert report["observed_bytes"] * 8 == report["wire_bits"]
     for edge, wire_bits in report["wire_link_bits"].items():
         assert report["observed_link_bytes"].get(edge, 0) * 8 == wire_bits, edge
+    assert report["wire_round_bits"]
+    for round_index, wire_bits in report["wire_round_bits"].items():
+        observed = sum(
+            rounds.get(round_index, 0)
+            for rounds in report["observed_round_bytes"].values()
+        )
+        assert observed * 8 == wire_bits, round_index
 
 
 class TestServiceTree:

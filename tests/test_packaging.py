@@ -1,13 +1,9 @@
-"""Packaging invariants: version single-sourcing, typing marker, deprecations."""
+"""Packaging invariants: version single-sourcing, typing marker."""
 
 from __future__ import annotations
 
-import importlib
 import pathlib
 import re
-import sys
-
-import pytest
 
 import repro
 
@@ -32,14 +28,3 @@ class TestTypingMarker:
         package_dir = pathlib.Path(repro.__file__).parent
         assert (package_dir / "py.typed").is_file()
 
-
-class TestDeprecations:
-    def test_multiparty_protocols_module_warns(self):
-        """The old protocol module is a deprecated alias shim."""
-        sys.modules.pop("repro.multiparty.protocols", None)
-        with pytest.warns(DeprecationWarning, match="repro.engine"):
-            module = importlib.import_module("repro.multiparty.protocols")
-        # The historical names still resolve to the engine implementations.
-        from repro.engine import StarLpNormProtocol
-
-        assert module.MultipartyLpNormProtocol is StarLpNormProtocol
