@@ -841,9 +841,8 @@ class Runtime:
         """Dispatch every task now; join (and get ordered results) later.
 
         Returns a zero-argument callable producing the same list
-        :meth:`map` would have — the caller runs other work between
-        dispatch and join (e.g. the streaming coordinator merges deltas
-        while the workers encode them).  Serial execution — the serial
+        :meth:`map` would have, so the caller can run other work between
+        dispatch and join.  Serial execution — the serial
         executor or a sub-concurrent task count — runs eagerly at dispatch
         so the join can never surprise.  Until the join returns, task
         arguments must not be mutated: the threads executor reads them in

@@ -10,13 +10,17 @@ real encoded bytes instead of formula-estimated bits), and the coordinator
 keeps live estimates of ``C = A B`` — ``l_p`` norms, support size, heavy
 hitters, support samples — between syncs.
 
+Every session keeps its per-site state in a *resident pool*: one slot per
+site holding the accumulated shard and the pending sketch deltas in
+preallocated buffers.  Ingestion is applied in the slot, and at an epoch
+boundary the coordinator merges each shipping site's deltas zero-copy out
+of those buffers while the slot encodes the same state for the wire.
 Under a persistent concurrent runtime (``Runtime(persistent=True)``) the
-session runs in *resident mode*: per-site state lives in dedicated workers
-on shared-memory buffers, ingestion is applied asynchronously in those
-workers, and epoch boundaries merge the deltas zero-copy while the workers
-encode the wire payloads concurrently.  Every output — estimates, payload
-bytes, network meters, epoch reports — is bit-identical to the serial
-session; resident mode is purely a throughput mode.
+slots are dedicated workers on shared-memory buffers, so ingestion and
+encoding run asynchronously in them; every other session keeps the slots
+inline.  That is the only ship path: every output — estimates, payload
+bytes, network meters, epoch reports — is bit-identical under every
+runtime, :class:`~repro.engine.robust.FaultPlan` injection included.
 
 Refresh policies
 ----------------
@@ -73,10 +77,10 @@ from repro.engine.l0_sampling import finish_l0_sample
 from repro.engine.topology import normalize_tree
 from repro.engine.robust import RobustPolicy, robust_merge_states
 from repro.engine.runtime import (
-    SERIAL_RUNTIME,
     QuorumPolicy,
     Runtime,
     SiteDroppedError,
+    _SerialResidentPool,
 )
 from repro.sketch.ams import AmsSketch
 from repro.sketch.countsketch import CountSketch
@@ -120,8 +124,8 @@ LATE_DELTA_LABEL = "stream/late-delta"
 #: Fixed order of the monitored sketch families inside a delta bundle.
 FAMILIES = ("ams", "l0", "sampler", "countsketch")
 
-#: Resident mode: maximum un-drained submissions per site worker.  Each
-#: completed task leaves a small queued reply in the worker→coordinator
+#: Maximum un-drained submissions per resident slot.  Under process workers
+#: each completed task leaves a small queued reply in the worker→coordinator
 #: pipe; draining every so often keeps both pipe buffers bounded (an
 #: unbounded backlog could fill them and deadlock the pair).
 _MAX_INFLIGHT = 64
@@ -163,43 +167,23 @@ class EpochReport:
 
 
 class _SiteStream:
-    """One site's streaming state: accumulated shard + pending sketch deltas.
+    """The coordinator's bookkeeping for one site: shard view + counters.
 
-    In resident mode (``Runtime(persistent=True)`` with a concurrent
-    executor) the shard and pending sketch states live inside a dedicated
-    worker instead: ``shard`` becomes the coordinator's view of the
-    worker's shared-memory segment and ``pending`` is ``None`` — only the
-    shipping counters stay here, so the refresh policy never needs a
-    round-trip.
+    The accumulated shard and the pending sketch deltas live in the site's
+    resident-pool slot; ``shard`` is the coordinator's view of that slot's
+    buffer.  Only the shipping counters stay here, so the refresh policy
+    never needs a round-trip to the slot.
     """
 
-    def __init__(
-        self,
-        index: int,
-        name: str,
-        row_offset: int,
-        num_rows: int,
-        inner_dim: int,
-        templates: dict[str, MergeableSketch],
-    ) -> None:
+    def __init__(self, index: int, name: str, row_offset: int, num_rows: int) -> None:
         self.index = index
         self.name = name
         self.row_offset = row_offset
         self.num_rows = num_rows
-        self.shard = np.zeros((num_rows, inner_dim), dtype=np.int64)
-        self.pending: dict[str, MergeableSketch] | None = {
-            key: sketch.empty_copy() for key, sketch in templates.items()
-        }
+        self.shard: np.ndarray  # bound to the slot's buffer by _build_resident
         self.pending_updates = 0
         self.pending_mass = 0.0
         self.shipped_mass = 0.0
-
-    def ingest(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        np.add.at(self.shard, rows - self.row_offset, deltas)
-        for sketch in self.pending.values():
-            sketch.update_many(rows, deltas)
-        self.pending_updates += rows.shape[0]
-        self.pending_mass += float(np.abs(deltas).sum())
 
     def should_ship(self, refresh: str, threshold: float, *, force: bool) -> bool:
         if self.pending_updates == 0:
@@ -213,18 +197,11 @@ class _SiteStream:
         return self.pending_mass > threshold * self.shipped_mass
 
     def mark_shipped(self) -> None:
-        """Reset the pending state after its serialization went on the wire.
+        """Credit the pending drift as shipped once its payload is built.
 
-        The serialization half is :func:`repro.sketch.serialization
-        .serialize_deltas` (fanned out by ``end_epoch``); splitting the two
-        halves is what lets the encoding run in a worker process while the
-        reset stays in the parent.  In resident mode only the counters live
-        here — the sketch reset is a :func:`_w_reset` submitted to the
-        site's worker.
+        Only the counters live here; the sketch reset is a :func:`_w_reset`
+        that ``end_epoch`` submits to the site's slot.
         """
-        if self.pending is not None:
-            for sketch in self.pending.values():
-                sketch.load_state_array(None)
         self.shipped_mass += self.pending_mass
         self.pending_mass = 0.0
         self.pending_updates = 0
@@ -233,26 +210,25 @@ class _SiteStream:
         """Discard queued (un-shipped) deltas without crediting them as
         shipped — the session-close path, where a dropped site's backlog
         must not survive into the closed session's counters."""
-        if self.pending is not None:
-            for sketch in self.pending.values():
-                sketch.load_state_array(None)
         self.pending_mass = 0.0
         self.pending_updates = 0
 
 
-# --------------------------------------------------------------- resident mode
+# -------------------------------------------------------------- resident pool
 #
-# With a persistent concurrent runtime each site's streaming state is *pinned*
-# inside a dedicated resident worker: the accumulated shard and all four
-# pending sketch states are shared-memory arrays the worker scatters updates
-# into (``pin_state_buffer`` / ``pin_table_buffer``), so per-epoch IPC shrinks
-# to update batches in and payload bytes + counters out.  At an epoch boundary
-# the coordinator merges each shipping site's deltas straight out of its own
-# view of those segments — zero copies, no serialization on the merge path —
-# while the workers concurrently encode the identical state for the wire
-# (both sides only read until the post-merge reset is submitted; per-slot
-# FIFO ordering makes the reset safe).  The functions below are the worker
-# halves; they must stay module-level picklables for the process pool.
+# Each site's streaming state is *pinned* in one slot of a resident pool: the
+# accumulated shard and all four pending sketch states are preallocated
+# arrays the slot scatters updates into (``pin_state_buffer`` /
+# ``pin_table_buffer``).  With a persistent concurrent runtime the slots are
+# dedicated workers and the arrays shared memory, so per-epoch IPC shrinks to
+# update batches in and payload bytes + counters out; otherwise the slots run
+# inline over plain arrays.  At an epoch boundary the coordinator merges each
+# shipping site's deltas straight out of its own view of those arrays — zero
+# copies, no serialization on the merge path — while the slots encode the
+# identical state for the wire (both sides only read until the post-merge
+# reset is submitted; per-slot FIFO ordering makes the reset safe).  The
+# functions below are the slot halves; they must stay module-level
+# picklables for the process pool.
 
 
 def _resident_site_init(
@@ -261,12 +237,12 @@ def _resident_site_init(
     row_offset: int,
     untrack: bool,
 ) -> dict[str, Any]:
-    """Build one site's worker-resident state around the shared buffers.
+    """Build one site's slot state around its buffers.
 
     ``buffers`` maps ``"shard"`` and each sketch family to either a
     :class:`repro.sketch.shm.ShmBlock` (process workers attach it) or a
-    ready numpy view (thread workers share the coordinator's address
-    space, so no attach round-trip is needed).
+    ready numpy array (thread workers and inline slots share the
+    coordinator's address space, so no attach round-trip is needed).
     """
     views: dict[str, np.ndarray] = {}
     segments = []
@@ -294,7 +270,7 @@ def _resident_site_init(
 
 
 def _w_ingest(state: dict[str, Any], rows: np.ndarray, deltas: np.ndarray) -> None:
-    """Apply one validated update batch to the worker-resident site state."""
+    """Apply one validated update batch to the slot's site state."""
     np.add.at(state["shard"], rows - state["row_offset"], deltas)
     for sketch in state["pending"].values():
         sketch.update_many(rows, deltas)
@@ -313,11 +289,12 @@ def _w_reset(state: dict[str, Any]) -> None:
 
 @dataclass
 class _ResidentSites:
-    """Coordinator-side handle to the resident site workers."""
+    """Coordinator-side handle to the sites' resident pool."""
 
     pool: Any  # repro.engine.runtime.ResidentPool
-    arena: _shm.ShmArena
-    #: Per site: the coordinator's views of that site's shm buffers
+    #: The shared-memory arena behind worker slots; ``None`` for inline slots.
+    arena: _shm.ShmArena | None
+    #: Per site: the coordinator's views of that site's buffers
     #: (``"shard"`` + one per sketch family).
     views: list[dict[str, np.ndarray]]
 
@@ -362,17 +339,17 @@ class StreamingSession(EstimatorBase):
         RAM-sized; ``"hash"`` removes the sketches from that bill, not the
         shards.
     runtime:
-        Optional :class:`repro.engine.runtime.Runtime`.  Delta
-        serialization at epoch close fans out through it, and one-shot
-        queries execute under it (executor choice + dropout policy for
-        queries issued while sites are dropped).  A *persistent* runtime
-        with a concurrent executor switches the session into resident
-        mode: each site's shard and pending sketch states are pinned in a
-        dedicated worker, backed by shared memory the coordinator merges
-        from zero-copy (see the ``_resident_site_init`` block above).
-        Outputs, meters and transcripts are identical in every mode; call
-        :meth:`close` (or use the session as a context manager) to release
-        the workers and segments deterministically.
+        Optional :class:`repro.engine.runtime.Runtime`.  One-shot queries
+        execute under it (executor choice + dropout policy for queries
+        issued while sites are dropped).  A *persistent* runtime with a
+        concurrent executor also hosts the session's resident pool: each
+        site's shard and pending sketch states are pinned in a dedicated
+        worker, backed by shared memory the coordinator merges from
+        zero-copy (see the resident-pool block above).  Without one the
+        slots run inline.  Outputs, meters and transcripts are identical
+        under every runtime; call :meth:`close` (or use the session as a
+        context manager) to release the workers and segments
+        deterministically.
     conditions:
         Optional :class:`repro.comm.conditions.NetworkConditions` — the
         session's network then prices shipped deltas into a simulated
@@ -408,6 +385,7 @@ class StreamingSession(EstimatorBase):
         the named sites' shipped deltas (state and wire bytes alike) —
         not their local shards — so one-shot queries stay clean while the
         live summaries feel the attack, exactly the Byzantine scenario.
+        Injection works the same under every runtime.
     """
 
     def __init__(
@@ -575,10 +553,7 @@ class StreamingSession(EstimatorBase):
 
         offsets = np.concatenate(([0], np.cumsum(row_counts)[:-1]))
         self.sites = [
-            _SiteStream(
-                i, site_names[i], int(offsets[i]), row_counts[i], b.shape[0],
-                self.templates,
-            )
+            _SiteStream(i, site_names[i], int(offsets[i]), row_counts[i])
             for i in range(k)
         ]
         self.epoch = 0
@@ -586,32 +561,30 @@ class StreamingSession(EstimatorBase):
         self._b_is_binary = is_binary_data(b)
         self._shards_binary_cache: bool | None = None
         self._closed = False
-        self._resident: _ResidentSites | None = None
-        if (
-            self.runtime is not None
-            and self.runtime.persistent
-            and self.runtime.executor in ("threads", "processes")
-        ):
-            if self._faults is not None:
-                # Resident workers serialize their own (honest) state; the
-                # corruption injector intercepts the classic ship path only.
-                raise ValueError(
-                    "fault injection (NetworkConditions.faults) is not "
-                    "supported in resident mode; use a non-persistent runtime"
-                )
-            self._resident = self._build_resident(self.runtime)
+        #: The sites' resident pool; ``None`` once the session is closed.
+        self._resident: _ResidentSites | None = self._build_resident()
 
-    def _build_resident(self, runtime: Runtime) -> _ResidentSites:
-        """Move every site's streaming state into a resident worker.
+    def _build_resident(self) -> _ResidentSites:
+        """Pin every site's streaming state in a resident-pool slot.
 
-        Each site gets shared-memory segments for its shard and the four
-        pending sketch states; the sketch layouts are probed with one
-        zero-valued update of an ``empty_copy`` (exactly the shape and
-        dtype real ingestion produces, and no randomness is consumed).
-        The coordinator keeps its own views for zero-copy merges; process
-        workers receive picklable block descriptors, thread workers the
-        views themselves.
+        Each site gets buffers for its shard and the four pending sketch
+        states; the sketch layouts are probed with one zero-valued update
+        of an ``empty_copy`` (exactly the shape and dtype real ingestion
+        produces, and no randomness is consumed).  The coordinator keeps
+        its own views for zero-copy merges.  A persistent threads/processes
+        runtime backs the buffers with shared memory and the slots with
+        dedicated workers (process workers receive picklable block
+        descriptors, thread workers the views themselves).  Every other
+        session gets an inline :class:`~repro.engine.runtime
+        ._SerialResidentPool` over plain arrays; it holds no OS resources,
+        so it is not registered with the runtime.
         """
+        runtime = self.runtime
+        workers = (
+            runtime is not None
+            and runtime.persistent
+            and runtime.executor in ("threads", "processes")
+        )
         m = self.b.shape[0]
         layouts: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
         for key, template in self.templates.items():
@@ -621,9 +594,9 @@ class StreamingSession(EstimatorBase):
             )
             state = probe.state_array()
             layouts[key] = (state.shape, state.dtype)
-        arena = _shm.ShmArena()
-        as_blocks = runtime.executor == "processes"
-        untrack = runtime._uses_spawn
+        arena = _shm.ShmArena() if workers else None
+        as_blocks = workers and runtime.executor == "processes"
+        untrack = workers and runtime._uses_spawn
         views: list[dict[str, np.ndarray]] = []
         init_tasks: list[tuple] = []
         for site in self.sites:
@@ -634,13 +607,18 @@ class StreamingSession(EstimatorBase):
             site_views: dict[str, np.ndarray] = {}
             refs: dict[str, Any] = {}
             for key, (shape, dtype) in specs.items():
-                view, block = arena.allocate(shape, dtype)
+                if arena is None:
+                    view = block = np.zeros(shape, dtype)
+                else:
+                    view, block = arena.allocate(shape, dtype)
                 site_views[key] = view
                 refs[key] = block if as_blocks else view
             views.append(site_views)
             init_tasks.append((refs, self.templates, site.row_offset, untrack))
             site.shard = site_views["shard"]
-            site.pending = None
+        if arena is None:
+            pool = _SerialResidentPool(_resident_site_init, init_tasks)
+            return _ResidentSites(pool=pool, arena=None, views=views)
         try:
             pool = runtime.resident_pool(_resident_site_init, init_tasks)
         except BaseException:
@@ -673,52 +651,52 @@ class StreamingSession(EstimatorBase):
         backlog and any straggler uploads still in flight (see
         :meth:`collect_late`) — are *discarded*, never merged: a closed
         session's live summaries reflect exactly what arrived before the
-        close.  In
-        resident mode the outstanding ingests are drained first (so the
-        accumulated shards are complete), the shards are materialized back
-        into coordinator memory, the site workers shut down, and the
-        shared-memory segments are unlinked and detached from the owning
-        runtime — close in either order (session first or runtime first)
-        releases everything exactly once.
+        close.  The outstanding ingests are drained first (so the
+        accumulated shards are complete) and the slots shut down.  Under
+        worker slots the shards are also materialized back into
+        coordinator memory, and the shared-memory segments are unlinked
+        and detached from the owning runtime — close in either order
+        (session first or runtime first) releases everything exactly once.
         """
         if self._closed:
             return
         self._closed = True
         self._late_queue.clear()
-        resident = self._resident
-        if resident is None:
-            for site in self.sites:
-                site.clear_pending()
-            return
-        self._resident = None
+        for site in self.sites:
+            site.clear_pending()
+        resident, self._resident = self._resident, None
         try:
             if not resident.pool.closed:
                 for slot in range(len(self.sites)):
                     resident.pool.drain(slot)
         finally:
-            arena_live = not resident.arena.closed
-            for site, site_views in zip(self.sites, resident.views):
-                if arena_live:
-                    site.shard = np.array(site_views["shard"])
-                else:
-                    # The runtime closed first: the segments are unlinked
-                    # and the views unmapped, so dereferencing them would
-                    # be a use-after-free.  The accumulated shards died
-                    # with the runtime's shared memory — a late close must
-                    # release cleanly, not crash.
-                    site.shard = np.zeros(
-                        site_views["shard"].shape, site_views["shard"].dtype
-                    )
-                site.clear_pending()
-            if self.runtime is not None:
-                # Detach from the runtime's tracking lists so a long-lived
-                # shared runtime doesn't accumulate dead pools/arenas across
-                # thousands of session lifecycles.
-                self.runtime.discard_resident_pool(resident.pool)
-                self.runtime.release_arena(resident.arena)
-            else:  # pragma: no cover - resident mode implies a runtime
+            if resident.arena is None:
+                # Inline slots: the shards already live in plain memory.
                 resident.pool.close()
-            resident.arena.close()
+            else:
+                self._release_workers(resident)
+
+    def _release_workers(self, resident: _ResidentSites) -> None:
+        """Copy the shards out of shared memory, then free workers + arena."""
+        arena_live = not resident.arena.closed
+        for site, site_views in zip(self.sites, resident.views):
+            if arena_live:
+                site.shard = np.array(site_views["shard"])
+            else:
+                # The runtime closed first: the segments are unlinked and
+                # the views unmapped, so dereferencing them would be a
+                # use-after-free.  The accumulated shards died with the
+                # runtime's shared memory — a late close must release
+                # cleanly, not crash.
+                site.shard = np.zeros(
+                    site_views["shard"].shape, site_views["shard"].dtype
+                )
+        # Detach from the runtime's tracking lists so a long-lived shared
+        # runtime doesn't accumulate dead pools/arenas across thousands of
+        # session lifecycles.
+        self.runtime.discard_resident_pool(resident.pool)
+        self.runtime.release_arena(resident.arena)
+        resident.arena.close()
 
     def __enter__(self) -> "StreamingSession":
         return self
@@ -763,9 +741,9 @@ class StreamingSession(EstimatorBase):
     def shards(self) -> list[np.ndarray]:
         """The accumulated per-site shards of ``A`` (global row order).
 
-        In resident mode these are live shared-memory views of the worker
-        state; the call drains outstanding ingests first so readers always
-        see every update applied.
+        While the session is open these are live views of the slot buffers
+        (shared memory under worker slots); the call drains outstanding
+        ingests first so readers always see every update applied.
         """
         self._drain_resident()
         return [site.shard for site in self.sites]
@@ -781,9 +759,12 @@ class StreamingSession(EstimatorBase):
         restored and ships its backlog, because deltas are linear.
         """
         self._check_open("drop a site")
+        self._check_site(site)
+        self._dropped.add(site)
+
+    def _check_site(self, site: int) -> None:
         if not 0 <= site < len(self.sites):
             raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
-        self._dropped.add(site)
 
     def restore_site(self, site: int) -> None:
         """Reconnect a dropped site; its backlog ships on the next boundary.
@@ -793,6 +774,7 @@ class StreamingSession(EstimatorBase):
         could never ship them and would only misreport connectivity.
         """
         self._check_open("restore a site")
+        self._check_site(site)
         self._dropped.discard(site)
 
     @property
@@ -819,8 +801,7 @@ class StreamingSession(EstimatorBase):
         — which is what makes streamed and one-shot summaries bit-identical.
         """
         self._check_open("ingest")
-        if not 0 <= site < len(self.sites):
-            raise ValueError(f"site index {site} out of range [0, {len(self.sites)})")
+        self._check_site(site)
         target = self.sites[site]
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         deltas = np.asarray(deltas)
@@ -855,21 +836,19 @@ class StreamingSession(EstimatorBase):
                 f"rows must lie in {target.name}'s range [{low}, {high})"
             )
         if rows.size:
-            if self._resident is not None:
-                # The sketch/shard work happens in the site's resident
-                # worker, asynchronously (the next drain point is the
-                # barrier); the shipping counters stay here so the refresh
-                # policy never needs a worker round-trip.  ``rows`` is
-                # copied because a thread worker reads it in place and the
-                # caller may reuse its buffer (``deltas`` is already a
-                # fresh ``astype`` copy).
-                if self._resident.pool.pending(site) >= _MAX_INFLIGHT:
-                    self._resident.pool.drain(site)
-                self._resident.pool.submit(site, _w_ingest, rows.copy(), deltas)
-                target.pending_updates += rows.shape[0]
-                target.pending_mass += float(np.abs(deltas).sum())
-            else:
-                target.ingest(rows, deltas)
+            # The sketch/shard work happens in the site's resident slot —
+            # asynchronously under worker slots (the next drain point is the
+            # barrier); the shipping counters stay here so the refresh
+            # policy never needs a slot round-trip.  ``rows`` is copied
+            # because a thread worker reads it in place and the caller may
+            # reuse its buffer (``deltas`` is already a fresh ``astype``
+            # copy).
+            pool = self._resident.pool
+            if pool.pending(site) >= _MAX_INFLIGHT:
+                pool.drain(site)
+            pool.submit(site, _w_ingest, rows.copy(), deltas)
+            target.pending_updates += rows.shape[0]
+            target.pending_mass += float(np.abs(deltas).sum())
             self._shards_binary_cache = None
 
     # ---------------------------------------------------------------- epochs
@@ -884,14 +863,15 @@ class StreamingSession(EstimatorBase):
         and the identity is restored by the first sync after every site is
         back.
 
-        Delta serialization runs *off the critical path*: it is dispatched
-        asynchronously through the session's runtime (or to the resident
-        site workers) and joined only after the coordinator has merged
-        every shipping delta — straight from the pending sketch states, or
-        in resident mode from shared-memory views of the worker state,
-        with no decode step in either case.  Merges and sends stay serial
-        in site order, so the shipped bytes and the merged summaries are
-        executor-invariant, byte for byte.
+        Every honest shipping site encodes its payload in its resident slot
+        (concurrently under worker slots), and the payloads are joined only
+        after the coordinator has merged every shipping delta straight from
+        its views of the slot buffers, with no decode step.  A
+        :class:`~repro.engine.robust.FaultPlan`'s corrupt sites upload a
+        corrupted copy of those deltas instead, which the coordinator both
+        merges and encodes.  Merges and sends stay serial in site order, so
+        the shipped bytes and the merged summaries are executor-invariant,
+        byte for byte.
         """
         self._check_open("close an epoch")
         # Decide (and possibly fail) before any state mutates, so a raised
@@ -941,50 +921,33 @@ class StreamingSession(EstimatorBase):
             report.quorum_met = on_time >= self.quorum.required(len(self.sites))
 
         payload_of: dict[str, bytes] = {}
-        if shipping and self._resident is not None:
-            # Resident flow: drain the in-flight ingests, then let every
-            # shipping worker encode its payload while the coordinator
-            # merges the identical state zero-copy out of the shm views
-            # (both sides only read).  The per-slot FIFO guarantees the
+        if shipping:
+            # Drain the in-flight ingests, then let every honest shipping
+            # slot encode its payload while the coordinator merges the
+            # identical state zero-copy out of its views (both sides only
+            # read).  A corrupt site's upload is a fresh corrupted copy, so
+            # the coordinator encodes it.  The per-slot FIFO guarantees the
             # reset runs strictly after the serialization.
             pool = self._resident.pool
             self._drain_resident()
+            corrupt = (
+                self._faults.corrupt_sites if self._faults is not None else ()
+            )
+            uploads = [self._site_deltas(site) for site in shipping]
             for site in shipping:
-                pool.submit(site.index, _w_serialize)
-            for site in shipping:
+                if site.name not in corrupt:
+                    pool.submit(site.index, _w_serialize)
+            for site, upload in zip(shipping, uploads):
                 if site.name not in late_now:
-                    self._merge_site_views(site.index)
-            for site in shipping:
-                payload_of[site.name] = pool.result(site.index)
+                    self._merge_delta(site.index, upload)
+            for site, upload in zip(shipping, uploads):
+                payload_of[site.name] = (
+                    serialize_deltas(upload)
+                    if site.name in corrupt
+                    else pool.result(site.index)
+                )
             for site in shipping:
                 pool.submit(site.index, _w_reset)
-        elif shipping:
-            runtime = self.runtime if self.runtime is not None else SERIAL_RUNTIME
-            # A FaultPlan corrupts the named sites' *uploads* — the state
-            # that is serialized and the state that is merged, consistently
-            # — while the sites' local shards stay honest.
-            uploads: dict[str, dict[str, MergeableSketch]] = {}
-            for site in shipping:
-                if (
-                    self._faults is not None
-                    and site.name in self._faults.corrupt_sites
-                ):
-                    uploads[site.name] = self._corrupt_pending(site)
-                else:
-                    uploads[site.name] = site.pending
-            join = runtime.map_async(
-                serialize_deltas, [(uploads[site.name],) for site in shipping]
-            )
-            # The pending sketches *are* the deltas the wire would carry
-            # (the codec round-trips states exactly), so merge them
-            # directly while the encoders run; ``mark_shipped`` resets
-            # them only after the join, below.
-            for site in shipping:
-                if site.name not in late_now:
-                    self._merge_delta(site.index, uploads[site.name])
-            payload_of = {
-                site.name: payload for site, payload in zip(shipping, join())
-            }
         on_time: list[tuple[_SiteStream, bytes]] = []
         for site in self.sites:
             payload = payload_of.get(site.name)
@@ -1090,23 +1053,35 @@ class StreamingSession(EstimatorBase):
             )
             bundles[agg] = merged
 
-    def _merge_site_views(self, site_index: int) -> None:
-        """Merge one shipping site's deltas straight from its shm views.
+    def _site_deltas(self, site: _SiteStream) -> dict[str, MergeableSketch]:
+        """One shipping site's upload, read straight from its slot buffers.
 
         Wraps each family's view in a stateless ``empty_copy`` (shares the
-        template randomness, so the merge's identity fast path applies) and
-        merges it — the views are only *read*: a first merge copies them
-        into the coordinator state, later merges accumulate with ``+=``.
-        Bit-identical to decoding the site's wire payload, because the
-        codec round-trips state arrays exactly.
+        template randomness, so the merge's identity fast path applies).
+        The views are only *read*: a merge copies them into the
+        coordinator state.  Bit-identical to decoding the site's wire
+        payload, because the codec round-trips state arrays exactly.
+
+        A :class:`~repro.engine.robust.FaultPlan` corrupt site's states go
+        through :meth:`~repro.engine.robust.FaultPlan.corrupt`, keyed per
+        (site, family, epoch) so the scenario replays exactly; the
+        corrupted arrays are fresh, so the slot's own state stays honest
+        and resets normally.
         """
-        site_views = self._resident.views[site_index]
+        corrupt = self._faults is not None and site.name in self._faults.corrupt_sites
+        deltas: dict[str, MergeableSketch] = {}
+        views = self._resident.views[site.index]
         for key in FAMILIES:
+            state = views[key]
+            if corrupt:
+                state = np.asarray(
+                    self._faults.corrupt(site.name, state, self.epoch, channel=key),
+                    dtype=float,
+                )
             delta = self.templates[key].empty_copy()
-            delta.load_state_array(site_views[key])
-            self.merged[key].merge(delta)
-            if self.site_merged is not None:
-                self.site_merged[site_index][key].merge(delta)
+            delta.load_state_array(state)
+            deltas[key] = delta
+        return deltas
 
     def _merge_delta(
         self, site_index: int, delta: dict[str, MergeableSketch]
@@ -1117,26 +1092,6 @@ class StreamingSession(EstimatorBase):
             self.merged[key].merge(delta[key])
             if self.site_merged is not None:
                 self.site_merged[site_index][key].merge(delta[key])
-
-    def _corrupt_pending(self, site: "_SiteStream") -> dict[str, MergeableSketch]:
-        """One corrupt site's upload: its pending states through the plan.
-
-        Keyed per (site, family, epoch) so the scenario replays exactly;
-        the returned sketches are detached copies — the site's own pending
-        state stays honest and resets normally.
-        """
-        corrupted: dict[str, MergeableSketch] = {}
-        for key in FAMILIES:
-            sketch = self.templates[key].empty_copy()
-            state = site.pending[key].state_array()
-            if state is not None:
-                state = np.asarray(
-                    self._faults.corrupt(site.name, state, self.epoch, channel=key),
-                    dtype=float,
-                )
-            sketch.load_state_array(state)
-            corrupted[key] = sketch
-        return corrupted
 
     def _fold_late(self, report: "EpochReport | None") -> list[tuple[str, int]]:
         """Merge every queued straggler upload into the live summaries.

@@ -227,9 +227,11 @@ class TestCloseOrdering:
             _ingest_some(session)
             session.sync()
             pool = session._resident.pool
+            assert pool in runtime._resident_pools  # a worker pool, not inline
             runtime.close()
             with pytest.raises(RuntimeError, match="closed"):
                 pool.result(0)
             session.close()
+            assert pool not in runtime._resident_pools
         finally:
             runtime.close()

@@ -233,9 +233,11 @@ class TestResidentStreamingSession:
         reference = self.collect(self.run_session(None))
         with Runtime(executor, max_workers=2, persistent=True) as runtime:
             session = self.run_session(runtime)
-            assert session._resident is not None  # really ran resident
+            pool = session._resident.pool
+            assert pool in runtime._resident_pools  # really ran on workers
             got = self.collect(session)
             session.close()
+            assert pool.closed and pool not in runtime._resident_pools
         assert got[0] == reference[0]
         assert got[1] == reference[1]
         assert got[2] == reference[2]
@@ -262,10 +264,32 @@ class TestResidentStreamingSession:
             with StreamingSession(
                 [6, 6], np.eye(2, dtype=np.int64), seed=3, runtime=runtime
             ) as session:
-                assert session._resident is not None
+                pool = session._resident.pool
+                assert pool in runtime._resident_pools
                 arena = session._resident.arena
             assert session._resident is None
+            assert pool.closed and pool not in runtime._resident_pools
             assert not arena.names
+
+    @pytest.mark.parametrize(
+        "runtime_args", [None, ("serial", True), ("threads", False), ("processes", False)]
+    )
+    def test_inline_slots_are_not_registered_with_the_runtime(self, runtime_args):
+        runtime = None if runtime_args is None else Runtime(
+            runtime_args[0], max_workers=2, persistent=runtime_args[1]
+        )
+        try:
+            session = self.run_session(runtime)
+            assert session._resident.arena is None
+            if runtime is not None:
+                assert runtime.resident_pool_count == 0
+                assert runtime._adopted_arenas == []
+            pool = session._resident.pool
+            session.close()
+            assert pool.closed
+        finally:
+            if runtime is not None:
+                runtime.close()
 
     def test_dropped_site_backlog_ships_after_restore(self):
         reference = self.collect(self.run_session(None))

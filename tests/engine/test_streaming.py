@@ -14,6 +14,8 @@ The load-bearing pins:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="range"):
             session.ingest(0, [offset], np.ones((1, b.shape[0]), dtype=np.int64))
 
+    @pytest.mark.parametrize("site", [99, 2, -1])
+    def test_drop_and_restore_reject_out_of_range_sites(self, binary_pair, site):
+        a, b = binary_pair
+        session = ClusterEstimator.from_matrix(a, b, 2, seed=63).stream()
+        message = rf"site index {site} out of range \[0, 2\)"
+        with pytest.raises(ValueError, match=message):
+            session.drop_site(site)
+        with pytest.raises(ValueError, match=message):
+            session.restore_site(site)
+        assert session.dropped_sites == []
+
     def test_preload_refuses_non_integral_shards(self):
         """Preload must not silently truncate fractional shards to integers."""
         cluster = ClusterEstimator(
@@ -388,3 +401,93 @@ class TestValidation:
             shard.shape[0] for shard in cluster.shards
         ]
         assert session.num_sites == cluster.num_sites
+
+
+def _state_bytes(sketch):
+    state = sketch.state_array()
+    return b"absent" if state is None else state.tobytes()
+
+
+class TestByzantineStreaming:
+    """Pin: FaultPlan-corrupted uploads under a robust session, per runtime.
+
+    The digests and norms were recorded on the serial session; every
+    runtime (inline, resident threads, resident processes) must reproduce
+    them exactly, corrupt site included.
+    """
+
+    PINS = {
+        "garbage": (
+            "5e7e97600a52e6df06b74c7aee869ad42abfc7728350e9657c867879d9a9eb26",
+            "a6da82dffcbef7088df084699f05cd5b5c931824ababac90b31aa70a161754c9",
+            "d4af81d3b2dc1573b6597d255650e070625225f5440aa4608c9f3d46392b9809",
+            13791.218830866597,
+            22001917.20889344,
+        ),
+        "flip-sign": (
+            "5e7e97600a52e6df06b74c7aee869ad42abfc7728350e9657c867879d9a9eb26",
+            "114e15027cf63cc29e5478fc3ceb09fac73251c607e30fc10971cae0e16a4f84",
+            "430c83a248605ed89678c4e278bd0a98ae1d815c67c83d2d0c5f0d84eda7ee82",
+            8899.4212962963,
+            6676.291666666667,
+        ),
+        ("scale", 10): (
+            "9dce956ecfffee19cecda77e95eb4f28eba2dbbdac54f7f6277c8659d98501e2",
+            "cc4ae42a8fc2f524eaf21d70613bbbfe2641032ec91673d47ec1cfca07f4d022",
+            "57b1e586301624aae2491de3db997d0e6b1e1802a9a7110afd918b70b438060c",
+            12757.552083333332,
+            103355.29166666667,
+        ),
+        "stale-replay": (
+            "e9d3985097725863f40ee14e9293d230fea34cd852f8114d9d6599396cd15588",
+            "f610340072388e73a16cdb8f956d181a9c0ebdd2f590d0c9e19b93e5745e7bfb",
+            "ea037f56da58b14d98008d941d9e12ddb97dbfd23e323e6aa5a93c2badebbbd0",
+            8431.01851851852,
+            6566.500000000001,
+        ),
+    }
+
+    @staticmethod
+    def run(kind, runtime):
+        from repro.comm.conditions import NetworkConditions
+        from repro.engine.robust import FaultPlan
+        from repro.engine.streaming import FAMILIES, StreamingSession
+
+        rng = np.random.default_rng(401)
+        k, rows, m = 5, 8, 6
+        b = rng.integers(0, 3, size=(m, 5))
+        conditions = NetworkConditions(faults=FaultPlan({"site-1": kind}, seed=5))
+        with StreamingSession(
+            [rows] * k, b, seed=17, robust=1, conditions=conditions, runtime=runtime
+        ) as session:
+            for _ in range(3):
+                for site in range(k):
+                    batch = site * rows + rng.choice(rows, size=4, replace=False)
+                    session.ingest(site, batch, rng.integers(-2, 3, size=(4, m)))
+                session.end_epoch()
+            reports = repr(
+                [(sorted(r.upload_bytes.items()), r.total_bytes) for r in session.history]
+            ).encode()
+            merged = b"".join(_state_bytes(session.merged[f]) for f in FAMILIES)
+            per_site = b"".join(
+                _state_bytes(slot[f]) for slot in session.site_merged for f in FAMILIES
+            )
+            return (
+                hashlib.sha256(reports).hexdigest(),
+                hashlib.sha256(merged).hexdigest(),
+                hashlib.sha256(per_site).hexdigest(),
+                session.live_lp_norm(robust=True),
+                session.live_lp_norm(),
+            )
+
+    @pytest.mark.parametrize("kind", list(PINS), ids=str)
+    def test_inline_session_matches_pins(self, kind):
+        assert self.run(kind, None) == self.PINS[kind]
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("kind", list(PINS), ids=str)
+    def test_resident_workers_match_pins(self, kind, executor):
+        from repro.engine.runtime import Runtime
+
+        with Runtime(executor, max_workers=2, persistent=True) as runtime:
+            assert self.run(kind, runtime) == self.PINS[kind]
