@@ -44,13 +44,19 @@ class MessageLog:
 
     Transports (channels, network links, network aggregates) own one log
     each and feed it via :meth:`record`; all derived statistics — totals,
-    per-sender bits, per-label and per-round breakdowns — live here.
+    per-sender bits, per-label and per-round breakdowns — live here.  The
+    total and per-sender bits are running counters kept by :meth:`record`
+    and :meth:`reset`, so a cost report over ``k`` senders does not rescan
+    the log ``k`` times; ``messages`` is therefore append-only outside this
+    class.
     """
 
     def __init__(self) -> None:
         self.messages: list[Message] = []
         self._last_key: Hashable | None = None
         self._round = 0
+        self._total_bits = 0
+        self._bits_by_sender: Counter[str] = Counter()
 
     # ---------------------------------------------------------------- record
     def record(
@@ -83,13 +89,15 @@ class MessageLog:
             payload=payload,
         )
         self.messages.append(message)
+        self._total_bits += message.bits
+        self._bits_by_sender[sender] += message.bits
         return message
 
     # ------------------------------------------------------------ accounting
     @property
     def total_bits(self) -> int:
         """Total bits recorded so far."""
-        return sum(message.bits for message in self.messages)
+        return self._total_bits
 
     @property
     def rounds(self) -> int:
@@ -98,7 +106,7 @@ class MessageLog:
 
     def bits_sent_by(self, sender: str) -> int:
         """Total bits sent by one endpoint."""
-        return sum(message.bits for message in self.messages if message.sender == sender)
+        return self._bits_by_sender[sender]
 
     def bits_by_label(self) -> dict[str, int]:
         """Total bits grouped by message label (for cost breakdowns)."""
@@ -133,6 +141,8 @@ class MessageLog:
         self.messages.clear()
         self._last_key = None
         self._round = 0
+        self._total_bits = 0
+        self._bits_by_sender.clear()
 
 
 class TenantLedger:

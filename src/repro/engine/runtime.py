@@ -67,7 +67,8 @@ worker per site that *keeps* the site's sketch state (pinned into shared
 memory via :mod:`repro.sketch.shm`) across epochs, so per-epoch traffic
 is just update batches out and counters back, and the coordinator merges
 summaries straight out of the workers' shm segments with zero
-serialization.
+serialization.  Resident process workers run BLAS single-threaded (see
+:func:`_single_blas_thread`), so k workers do not start k BLAS threads each.
 
 Fault policies
 --------------
@@ -90,6 +91,7 @@ conditions declare sites dropped (:class:`repro.comm.conditions
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import traceback
 from collections import deque
@@ -307,6 +309,45 @@ class WorkerCrashedError(RuntimeError):
     """A resident worker process died mid-conversation (crash or kill)."""
 
 
+#: ``set_num_threads`` entry points of the OpenBLAS builds NumPy and SciPy
+#: wheels bundle: plain, 64-bit-integer (``64_`` suffix) and ``scipy_``-prefixed.
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _single_blas_thread() -> None:
+    """Run every loaded OpenBLAS single-threaded in this forked worker.
+
+    A forked worker inherits the parent's OpenBLAS, which starts one thread
+    per core on first use, so k resident workers on k cores run k x k BLAS
+    threads that spin against each other.  ``OPENBLAS_NUM_THREADS`` is read
+    only when the library loads, so it cannot reach a forked child; the
+    library's own setter can.  A caller who set the variable keeps it, and
+    hosts without ``/proc`` or OpenBLAS keep their defaults.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def _resident_worker_main(conn, init_fn, init_args) -> None:
     """Resident worker loop: build the pinned state, then serve calls.
 
@@ -315,6 +356,7 @@ def _resident_worker_main(conn, init_fn, init_args) -> None:
     every request — and the initial state construction — with
     ``("ok", result)`` or ``("err", traceback_text)``.
     """
+    _single_blas_thread()
     try:
         state = init_fn(*init_args)
         conn.send(("ok", None))

@@ -29,7 +29,9 @@ building a fresh table from a batch reproduces the historical sequential
 ``np.add.at`` result bit for bit, and on integer-valued updates (every
 engine/streaming path — ingestion enforces the float64-exact ``2^53``
 range) accumulation into a non-empty table is exact as well, which is what
-keeps the streaming chunking-equivalence suites byte-identical.  (On the
+keeps the streaming chunking-equivalence suites byte-identical.  A
+vector-valued scatter is one bincount over the flat ``(row, bucket,
+column)`` cell index, so every cell keeps that batch-order sum.  (On the
 NumPy 2.x in this environment the old per-row ``add.at`` is no longer the
 order-of-magnitude disaster it classically was — it grew a fast path — but
 ``bincount`` still wins the scatter by ~2-3x; the measured numbers live in
@@ -37,14 +39,22 @@ order-of-magnitude disaster it classically was — it grew a fast path — but
 the dense-table *gather*, which is why the callers keep a dense cache only
 as an adaptive small-universe optimization and hash lazily otherwise.)
 
-**Level expansion** (:func:`count_alive_levels`, :func:`expand_levels`).
+**Level expansion** (:func:`count_alive_levels`, :func:`expand_levels`,
+:func:`nested_level_sums`).
 The layered-subsampling sketches touch rows ``0..d_j`` of their level
 hierarchy per updated coordinate ``j``.  ``expand_levels`` turns the
 per-coordinate depths into the flat ``(coordinate, level)`` index pairs in
 one vectorized pass (expected blow-up factor 2: level depths are
 geometric), feeding the same fused bincount — replacing both the dense
 ``O(universe x levels x buckets)`` matrix *and* the per-level scatter
-loops of the pre-kernel ``l_0`` machinery.
+loops of the pre-kernel ``l_0`` machinery.  The ``l_0`` sampler's integer
+batches skip the expansion (:func:`nested_level_sums`): levels are nested,
+so level ``g`` sums the coordinates that survive to ``g``, and after a
+descending sort by depth those are a prefix — one int64 cumulative sum
+and a gather in place of an indexed-add scatter, equal bit for bit
+because int64 sums wrap modulo ``2^64`` in any order.  Float batches keep
+the expanded batch-order scatter, whose rounding a reordering would
+change.
 
 **Exact integer products** (:func:`exact_matmul`).  NumPy runs int64
 matmul without BLAS, and every family's coordinator finish multiplies what
@@ -82,6 +92,7 @@ __all__ = [
     "count_alive_levels",
     "exact_matmul",
     "expand_levels",
+    "nested_level_sums",
     "scatter_add_scalar",
     "scatter_add_vector",
 ]
@@ -253,8 +264,10 @@ def scatter_add_vector(
     """Vector-valued analogue: add ``signs[r, t] * deltas[t, :]`` row-vectors.
 
     ``table`` has shape ``(depth, width, m)`` and ``deltas`` shape
-    ``(batch, m)``; value columns are independent, so the scatter is one
-    bincount per (row, column) pair over the same bucket indices.
+    ``(batch, m)``.  The scatter is one bincount over the flat
+    ``(row, bucket, column)`` cell index: each cell still sums its
+    contributions in batch order into a zeroed buffer, which is added to
+    the table once — the same association as a per-(row, column) loop.
     """
     depth, width, m = table.shape
     backend = _native.active()
@@ -266,13 +279,13 @@ def scatter_add_vector(
             np.ascontiguousarray(deltas, dtype=np.float64),
         )
         return
-    for row in range(depth):
-        row_buckets = buckets[row]
-        row_signs = signs[row]
-        for col in range(m):
-            table[row, :, col] += np.bincount(
-                row_buckets, weights=row_signs * deltas[:, col], minlength=width
-            )
+    rows = np.arange(depth, dtype=np.int64)[:, None, None]
+    cols = np.arange(m, dtype=np.int64)
+    cells = (rows * width + buckets[:, :, None]) * m + cols
+    weights = signs[:, :, None] * deltas
+    table += np.bincount(
+        cells.reshape(-1), weights=weights.reshape(-1), minlength=table.size
+    ).reshape(table.shape)
 
 
 def bincount_rows(
@@ -284,7 +297,9 @@ def bincount_rows(
 ) -> np.ndarray:
     """Sum ``weights`` into ``num_rows`` output rows (the linear-map kernel).
 
-    ``weights`` is 1-D (vector input: returns shape ``(num_rows,)``) or 2-D
+    Serves the ``l_0`` sketch, and the ``l_0`` sampler on float input (its
+    integer batches take :func:`nested_level_sums`).  ``weights`` is 1-D
+    (vector input: returns shape ``(num_rows,)``) or 2-D
     ``(len(rows), m)`` (matrix input: returns ``(num_rows, m)``).  With
     ``exact_int`` the accumulation runs in an int64 array via the fused
     indexed-add — exact while every output sum stays inside int64, and
@@ -395,3 +410,41 @@ def expand_levels(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     level = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
     return take, level
+
+
+def nested_level_sums(
+    counts: np.ndarray, factors: np.ndarray, columns: np.ndarray, levels: int
+) -> np.ndarray:
+    """Per-level int64 sums over nested subsampling levels, without a scatter.
+
+    ``counts`` (values in ``[0, levels]``, as from
+    :func:`count_alive_levels`) and ``factors`` have shapes ``(reps, batch)``
+    and ``(reps, batch, F)``, ``columns`` shape ``(batch, m)``.  Returns
+    ``(reps, levels, F, m)``: entry ``[r, g, f]`` is the sum of
+    ``factors[r, t, f] * columns[t]`` over every ``t`` with
+    ``counts[r, t] > g``.  Sorting each repetition's positions by count
+    (descending) makes every level's survivors a prefix, so one cumulative
+    sum along the batch axis (with a leading zero slot) answers all levels
+    by a gather at the number of survivors.  int64 sums wrap modulo
+    ``2^64`` in any order, so the result equals the indexed-add scatter bit
+    for bit, wraparound included.
+    """
+    reps, batch = counts.shape
+    order = np.argsort(-counts, axis=1, kind="stable")
+    prefix = np.zeros(
+        (reps, batch + 1) + factors.shape[2:] + columns.shape[1:], dtype=np.int64
+    )
+    np.multiply(
+        np.take_along_axis(factors, order[:, :, None], axis=1)[..., None],
+        columns[order][:, :, None, :],
+        out=prefix[:, 1:],
+    )
+    np.cumsum(prefix, axis=1, out=prefix)
+    # alive[r, g] = #{t : counts[r, t] > g}: a reversed cumulative histogram.
+    span = levels + 1
+    histogram = np.bincount(
+        (np.arange(reps)[:, None] * span + counts).reshape(-1),
+        minlength=reps * span,
+    ).reshape(reps, span)
+    alive = np.cumsum(histogram[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return prefix[np.arange(reps)[:, None], alive]

@@ -20,14 +20,14 @@ support (every non-zero coordinate is equally likely to be the unique
 survivor).
 
 Like the ``l_0`` sketch, the measurement matrix is never materialized:
-updates run through the fused level-expansion scatter kernels, recovery is
-one vectorized scan over all ``(repetition, level)`` cells, and
-``mode="hash"`` derives all per-coordinate randomness from lazy hashes so
-the universe can be ``2^30`` and beyond.  Measurements accumulate in
-int64 exactly like the historical dense matmul: exact while each
-measurement fits, i.e. ``(index + 1) * |value| < 2^63`` for ``s1`` — past
-that the fingerprint check rejects the (wrapped) cell rather than return a
-wrong coordinate.
+integer updates run through nested-level prefix sums (float updates
+through the level-expansion scatter), recovery is one vectorized scan over
+all ``(repetition, level)`` cells, and ``mode="hash"`` derives all
+per-coordinate randomness from lazy hashes so the universe can be ``2^30``
+and beyond.  Measurements accumulate in int64 exactly like the historical
+dense matmul: exact while each measurement fits, i.e.
+``(index + 1) * |value| < 2^63`` for ``s1`` — past that the fingerprint
+check rejects the (wrapped) cell rather than return a wrong coordinate.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.sketch.kernels import (
     bincount_rows,
     count_alive_levels,
     expand_levels,
+    nested_level_sums,
 )
 from repro.sketch.mergeable import LinearStateMixin
 
@@ -180,47 +181,46 @@ class L0Sampler(LinearStateMixin):
 
     # ------------------------------------------------------------------ api
     def _contribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Fused scatter of one batch: ``T[:, indices] @ values`` without ``T``."""
+        """One batch's image ``T[:, indices] @ values`` without ``T``.
+
+        Integer (and bool) batches take the int64 nested-level prefix sums;
+        float batches keep the level-expanded scatter, whose batch-order
+        accumulation fixes their rounding.
+        """
         counts, coeffs = self._batch_randomness(indices)
-        exact = bool(np.issubdtype(values.dtype, np.integer))
+        shifted = indices + 1  # +1 keeps s1 != 0 for coordinate 0
+        if values.dtype.kind in "biu":
+            columns = values.astype(np.int64, copy=False)
+            if columns.ndim == 1:
+                columns = columns[:, None]
+            factors = np.stack(
+                [np.ones_like(coeffs), np.broadcast_to(shifted, coeffs.shape), coeffs],
+                axis=-1,
+            )
+            sums = nested_level_sums(counts, factors, columns, self.levels)
+            return sums.reshape((self.num_rows,) + values.shape[1:])
         rows_parts: list[np.ndarray] = []
         weights_parts: list[np.ndarray] = []
-        shifted = indices + 1  # +1 keeps s1 != 0 for coordinate 0
         for rep in range(self.repetitions):
             take, level = expand_levels(counts[rep])
             base = (rep * self.levels + level) * self.rows_per_level
             taken = values[take]
+            rows_parts += [base, base + 1, base + 2]
             if values.ndim == 1:
-                rows_parts += [base, base + 1, base + 2]
                 weights_parts += [taken, shifted[take] * taken, coeffs[rep, take] * taken]
             else:
-                rows_parts += [base, base + 1, base + 2]
                 weights_parts += [
                     taken,
                     shifted[take, None] * taken,
                     coeffs[rep, take, None] * taken,
                 ]
-        rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, dtype=np.int64)
-        if values.ndim == 1:
-            weights = (
-                np.concatenate(weights_parts)
-                if weights_parts
-                else np.empty(0, dtype=values.dtype)
-            )
-        else:
-            weights = (
-                np.concatenate(weights_parts, axis=0)
-                if weights_parts
-                else np.empty((0, values.shape[1]), dtype=values.dtype)
-            )
-        return bincount_rows(rows, weights, self.num_rows, exact_int=exact)
+        rows = np.concatenate(rows_parts)
+        weights = np.concatenate(weights_parts, axis=0)
+        return bincount_rows(rows, weights, self.num_rows, exact_int=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute the sampler sketch ``T x`` (integer inputs expected)."""
-        x = np.asarray(x)
-        if np.issubdtype(x.dtype, np.integer):
-            x = x.astype(np.int64)
-        return self._contribution(np.arange(self.n, dtype=np.int64), x)
+        return self._contribution(np.arange(self.n, dtype=np.int64), np.asarray(x))
 
     def sample(self, sketched: np.ndarray) -> L0SampleOutcome:
         """Recover a uniform non-zero coordinate from the sketch ``T x``.

@@ -190,7 +190,9 @@ class L0Sketch(LinearStateMixin):
         counts, buckets, coefficients = self._coordinate_randomness(indices)
         take, level = expand_levels(counts)
         rows = level * self.k + buckets[take]
-        exact = bool(np.issubdtype(values.dtype, np.integer))
+        exact = values.dtype.kind in "biu"
+        if exact:
+            values = values.astype(np.int64, copy=False)
         if values.ndim == 1:
             weights = coefficients[take] * values[take]
         else:
@@ -199,10 +201,7 @@ class L0Sketch(LinearStateMixin):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``S x``; inputs should be integer-valued for exactness."""
-        x = np.asarray(x)
-        if np.issubdtype(x.dtype, np.integer):
-            x = x.astype(np.int64)
-        return self._contribution(np.arange(self.n), x)
+        return self._contribution(np.arange(self.n), np.asarray(x))
 
     def estimate_state_l0(self) -> float:
         """Estimate ``||x||_0`` from the accumulated (possibly merged) state."""

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.accounting import MessageLog
 from repro.comm.channel import Channel
+from repro.comm.network import Network, TreeNetwork
+from repro.comm.tree import TreeSpec
 
 
 class TestMessageLog:
@@ -70,3 +74,65 @@ class TestChannelInheritsAccounting:
         channel.send("bob", "alice", 1, bits=30, label="r2")
         assert channel.bits_per_round() == {1: 10, 2: 50}
         assert channel.bits_by_label() == {"r1": 10, "r2": 50}
+
+
+def _assert_counters_match_messages(logs: list[MessageLog], names: list[str]) -> None:
+    for log in logs:
+        assert log.total_bits == sum(m.bits for m in log.messages)
+        for name in names + ["nobody"]:
+            recount = sum(m.bits for m in log.messages if m.sender == name)
+            assert log.bits_sent_by(name) == recount
+
+
+_SITES = [f"site-{i}" for i in range(5)]
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["up", "down", "broadcast", "reset"]),
+        st.integers(0, 4),
+        st.integers(0, 1000),
+    ),
+    max_size=30,
+)
+
+
+class TestRunningBitCounters:
+    """``total_bits``/``bits_sent_by`` are running counters: they must equal a
+    recount over ``messages`` after any record/reset sequence."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STEPS)
+    def test_channel(self, steps):
+        channel = Channel()
+        for kind, _, bits in steps:
+            if kind == "reset":
+                channel.reset()
+            elif kind == "up":
+                channel.send("alice", "bob", None, bits=bits)
+            else:
+                channel.send("bob", "alice", None, bits=bits)
+            _assert_counters_match_messages(
+                [channel.log, *channel.network.links.values()], ["alice", "bob"]
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STEPS, st.booleans())
+    def test_star_and_tree_networks(self, steps, tree):
+        if tree:
+            network = TreeNetwork(TreeSpec.regular(_SITES, 2))
+        else:
+            network = Network(_SITES)
+        hub = network.coordinator_name
+        for kind, site, bits in steps:
+            if kind == "reset":
+                network.reset()
+            elif kind == "up":
+                network.send(_SITES[site], hub, None, label="up", bits=bits)
+            elif kind == "down":
+                network.send(hub, _SITES[site], None, bits=bits)
+            else:
+                network.broadcast(None, bits=bits)
+            # Reading a meter drains the tree's staged uploads first.
+            assert network.total_bits == sum(m.bits for m in network.log.messages)
+            _assert_counters_match_messages(
+                [network.log, *network.links.values()], list(network.links) + [hub]
+            )

@@ -18,6 +18,7 @@ compute; this module pins how the pools behave as resources:
 
 from __future__ import annotations
 
+import ctypes
 import os
 
 import numpy as np
@@ -58,6 +59,23 @@ def _read(state):
 
 def _crash(state):
     os._exit(13)
+
+
+def _blas_thread_counts(state=None):
+    """Thread count of every loaded OpenBLAS (NumPy's and SciPy's builds)."""
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    counts = []
+    for path in paths:
+        library = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                name = f"{prefix}openblas_get_num_threads{suffix}"
+                getter = getattr(library, name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    counts.append(getter())
+    return counts
 
 
 class TestWorkerSizing:
@@ -189,6 +207,27 @@ class TestResidentPools:
             pool.submit(0, _crash)
             with pytest.raises(WorkerCrashedError, match="13"):
                 pool.drain(0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    @pytest.mark.parametrize("caller_setting", [None, "2"])
+    def test_process_workers_run_blas_single_threaded(
+        self, monkeypatch, caller_setting
+    ):
+        """Forked workers must not each start one BLAS thread per core;
+        an ``OPENBLAS_NUM_THREADS`` the caller set is left alone."""
+        if caller_setting is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller_setting)
+        square = np.ones((64, 64))
+        square @ square  # loads and starts BLAS in the parent
+        parent = _blas_thread_counts()
+        if not parent:
+            pytest.skip("no OpenBLAS loaded")
+        with Runtime("processes", max_workers=1) as runtime:
+            pool = runtime.resident_pool(_init_counter, [(0,)])
+            workers = pool.call(0, _blas_thread_counts)
+        assert workers == ([1] * len(parent) if caller_setting is None else parent)
 
     @pytest.mark.parametrize("executor", ["threads", "processes"])
     def test_pool_close_is_idempotent_and_runtime_close_covers_it(self, executor):

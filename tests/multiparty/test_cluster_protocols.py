@@ -178,6 +178,36 @@ class TestClusterCostReport:
         assert any(label.startswith("round2/") for label in result.cost.breakdown)
 
 
+#: Every query family, keyed by test id.
+BOOL_QUERIES = {
+    "lp0": lambda e: e.lp_norm(0.0),
+    "lp1": lambda e: e.lp_norm(1.0),
+    "lp2": lambda e: e.lp_norm(2.0),
+    "natural_join": lambda e: e.natural_join_size(),
+    "l0_sample": lambda e: e.l0_sample(),
+    "l1_sample": lambda e: e.l1_sample(),
+    "linf": lambda e: e.linf(),
+    "linf_kappa": lambda e: e.linf_kappa(4.0),
+    "heavy_hitters": lambda e: e.heavy_hitters(0.1, 0.05),
+    "heavy_hitters_p2": lambda e: e.heavy_hitters(0.1, 0.05, p=2.0),
+}
+
+
+class TestBooleanShards:
+    """0/1 set-membership matrices given as ``bool`` cost what int64 ones do."""
+
+    @pytest.mark.parametrize("name", list(BOOL_QUERIES))
+    def test_bool_matches_int64_values_and_bits(self, name):
+        a, b = generators.random_binary_pair(64, density=0.1, seed=1)
+        wide, narrow = (
+            BOOL_QUERIES[name](ClusterEstimator.from_matrix(a, b, 4, seed=3))
+            for a, b in [(a, b), (a.astype(bool), b.astype(bool))]
+        )
+        assert repr(narrow.value) == repr(wide.value)
+        assert narrow.cost.total_bits == wide.cost.total_bits
+        assert narrow.cost.rounds == wide.cost.rounds
+
+
 class TestValidation:
     def test_cluster_estimator_rejects_empty_shard_list(self, binary_pair):
         _, b = binary_pair

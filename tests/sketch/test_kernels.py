@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.sketch import AmsSketch, L0Sampler
+from repro.sketch import AmsSketch, L0Sampler, L0Sketch
 from repro.sketch import kernels
 from repro.sketch.hashing import KWiseHash, PRIME_61
 from repro.sketch.kernels import (
@@ -131,6 +131,32 @@ class TestScatterKernels:
         scatter_add_vector(table, buckets, signs, deltas)
         np.testing.assert_array_equal(table, reference)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 9),
+        st.integers(0, 80),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_vector_scatter_matches_per_column_bincount_loop(
+        self, depth, width, batch, m, seed
+    ):
+        """The fused bincount keeps the per-(row, column) loop's float rounding."""
+        rng = np.random.default_rng(seed)
+        buckets = rng.integers(0, width, size=(depth, batch))
+        signs = rng.choice(np.array([-1, 1]), size=(depth, batch))
+        deltas = rng.normal(size=(batch, m)) * 1e3
+        table = rng.normal(size=(depth, width, m))
+        reference = table.copy()
+        for row in range(depth):
+            for col in range(m):
+                reference[row, :, col] += np.bincount(
+                    buckets[row], weights=signs[row] * deltas[:, col], minlength=width
+                )
+        scatter_add_vector(table, buckets, signs, deltas)
+        np.testing.assert_array_equal(table, reference)
+
     def test_integer_weights_far_past_float53_stay_exact(self):
         """Regression: int64 accumulation, not float64-bincount-then-cast.
 
@@ -185,6 +211,67 @@ class TestLevelExpansion:
     def test_expand_levels_empty(self):
         take, level = expand_levels(np.empty(0, dtype=np.int64))
         assert take.size == 0 and level.size == 0
+
+
+class TestNestedLevelSums:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sampler_update_matches_int64_matmul(self, data):
+        """Prefix-sum ingest equals the dense int64 image, wraparound included.
+
+        Small universes force duplicate indices; magnitudes up to ``2^62``
+        times fingerprint coefficients up to ``2^20`` wrap modulo ``2^64``,
+        as the int64 matmul does.  The second batch lands on a non-zero state.
+        """
+        n = data.draw(st.integers(1, 48))
+        sampler = L0Sampler(
+            n,
+            np.random.default_rng(data.draw(st.integers(0, 2**16))),
+            repetitions=data.draw(st.integers(1, 8)),
+            mode=data.draw(st.sampled_from(["dense", "hash"])),
+        )
+        trailing = data.draw(st.sampled_from([(), (1,), (3,)]))
+        bound = 2 ** data.draw(st.integers(0, 62))
+        acc = sampler.empty_copy()
+        expected = None
+        for _ in range(2):
+            batch = data.draw(st.integers(0, 40))
+            indices = data.draw(
+                hnp.arrays(np.int64, batch, elements=st.integers(0, n - 1))
+            )
+            values = data.draw(
+                hnp.arrays(
+                    np.int64, (batch,) + trailing, elements=st.integers(-bound, bound)
+                )
+            )
+            acc.update_many(indices, values)
+            image = sampler.matrix[:, indices] @ values
+            expected = image if expected is None else expected + image
+        assert acc.state.dtype == np.int64
+        np.testing.assert_array_equal(acc.state, expected)
+
+
+class TestIntegerInputDtypes:
+    @pytest.mark.parametrize("family", ["sketch", "sampler"])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32])
+    def test_bool_and_narrow_integer_values_take_the_int64_path(self, family, dtype):
+        """0/1 set-membership input must not fall through to float64 states."""
+        rng = np.random.default_rng(12)
+        if family == "sketch":
+            sketch = L0Sketch(40, 8, np.random.default_rng(13))
+        else:
+            sketch = L0Sampler(40, np.random.default_rng(13), repetitions=3)
+        indices = rng.integers(0, 40, size=30)
+        values = rng.integers(0, 2, size=(30, 4))
+        narrow, wide = sketch.empty_copy(), sketch.empty_copy()
+        narrow.update_many(indices, values.astype(dtype))
+        wide.update_many(indices, values)
+        assert narrow.state.dtype == np.int64
+        np.testing.assert_array_equal(narrow.state, wide.state)
+        x = rng.integers(0, 2, size=40)
+        applied = sketch.apply(x.astype(dtype))
+        assert applied.dtype == np.int64
+        np.testing.assert_array_equal(applied, sketch.apply(x))
 
 
 def reference_sample(sampler: L0Sampler, sketched: np.ndarray):
